@@ -7,6 +7,7 @@ technique in each region's first availability zone.
 
 from benchmarks.conftest import once
 from repro import SamplingCampaign, SkyMesh, build_sky
+from repro.cloudsim.adapters import sampling_poll_size
 from repro.cloudsim.catalog import catalog_region_names
 
 POLLS_PER_REGION = 6
@@ -22,7 +23,7 @@ def characterize_globe():
     for region_name in cloud.region_names():
         region = cloud.region(region_name)
         zone_id = region.zone_ids()[0]
-        n_requests = min(1000, region.provider.concurrency_quota)
+        n_requests = sampling_poll_size(region.provider)
         endpoints = mesh.deploy_sampling_endpoints(
             accounts[region.provider.name], zone_id,
             count=POLLS_PER_REGION,

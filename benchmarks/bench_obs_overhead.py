@@ -2,8 +2,9 @@
 
 The event bus is opt-in per Cloud/SkyController; when it is absent (the
 ``NULL_BUS`` default) or attached-but-paused, every emission site pays a
-single attribute check.  This bench pins that contract: ``route_burst``
-with the bus disabled must run within 5 % of the uninstrumented baseline.
+single attribute check.  This bench pins that contract: a routed burst
+(one routing decision, ``route`` per request) with the bus disabled must
+run within 5 % of the uninstrumented baseline.
 Run with ``pytest benchmarks/bench_obs_overhead.py --benchmark-only`` for
 the timed variants, or plainly for the overhead assertion.
 """
@@ -41,19 +42,20 @@ def make_router(obs=None):
 
 
 def run_burst(cloud, router):
-    requests = router.route_burst(BURST)
+    decision = router.decide()
+    requests = [router.route(decision) for _ in range(BURST)]
     cloud.clock.advance(900.0)  # let the burst's FIs expire between rounds
     return requests
 
 
-def test_route_burst_baseline(benchmark):
+def test_routed_burst_baseline(benchmark):
     """No observability anywhere (the NULL_BUS default)."""
     cloud, router = make_router()
     requests = benchmark(lambda: run_burst(cloud, router))
     assert len(requests) == BURST
 
 
-def test_route_burst_bus_disabled(benchmark):
+def test_routed_burst_bus_disabled(benchmark):
     """Bus attached through every zone and pool, but paused."""
     obs = Observability()
     obs.disable()
@@ -63,7 +65,7 @@ def test_route_burst_bus_disabled(benchmark):
     assert len(obs.recorder) == 0
 
 
-def test_route_burst_bus_enabled(benchmark):
+def test_routed_burst_bus_enabled(benchmark):
     """Full collection: events, metrics bridge, and per-request traces."""
     obs = Observability()
     cloud, router = make_router(obs)
@@ -85,7 +87,7 @@ def _best_of(fn, rounds, warmup=2):
 
 
 def test_disabled_bus_overhead_under_5pct():
-    """The acceptance gate: disabled-bus route_burst within 5 % of
+    """The acceptance gate: disabled-bus routed burst within 5 % of
     baseline (best-of-rounds to squeeze out scheduler noise)."""
     cloud_base, router_base = make_router()
     obs = Observability()
@@ -105,14 +107,14 @@ def test_disabled_bus_overhead_under_5pct():
 
 if __name__ == "__main__":
     cloud, router = make_router()
-    print("route_burst baseline: {:.4f}s".format(
+    print("routed burst baseline: {:.4f}s".format(
         _best_of(lambda: run_burst(cloud, router), rounds=5)))
     obs = Observability()
     obs.disable()
     cloud, router = make_router(obs)
-    print("route_burst bus disabled: {:.4f}s".format(
+    print("routed burst bus disabled: {:.4f}s".format(
         _best_of(lambda: run_burst(cloud, router), rounds=5)))
     obs = Observability()
     cloud, router = make_router(obs)
-    print("route_burst bus enabled: {:.4f}s".format(
+    print("routed burst bus enabled: {:.4f}s".format(
         _best_of(lambda: run_burst(cloud, router), rounds=5)))

@@ -22,6 +22,7 @@ against the most recent entry flagged ``"baseline": true``.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import subprocess
@@ -32,6 +33,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "src"))
 
 from repro import build_sky  # noqa: E402
+from repro.cloudsim.adapters import HardCapQuota  # noqa: E402
 from repro.cloudsim.handlers import ModeledWorkloadHandler, SleepHandler  # noqa: E402
 from repro.cloudsim.provider import provider_by_name  # noqa: E402
 from repro.dynfunc import UniversalDynamicFunctionHandler  # noqa: E402
@@ -47,6 +49,7 @@ BATCH_100K = 100000
 BATCH_10K = 10000
 #: Lifted AWS concurrency quota for the 100k batch benchmarks — the
 #: catalog default (1000) would cap the burst and time a 1k batch.
+#: Installed on the AWS adapter, the only holder of the quota.
 BATCH_QUOTA = 200000
 REPEATS = 5
 SWEEP_REPEATS = 3
@@ -138,26 +141,37 @@ def _batch_keys(vectorize, polls=2, n_requests=BATCH_100K):
     for _ in range(polls):
         result = cloud.poll_batch(deployment, n_requests,
                                   vectorize=vectorize)
+        assert result.requested == n_requests, result.requested
         keys.append(result.aggregate_key())
         cloud.clock.advance(120.0)
     return keys
+
+
+@contextlib.contextmanager
+def lifted_aws_quota():
+    """Swap the AWS adapter's quota for ``HardCapQuota(BATCH_QUOTA)``;
+    accounts created inside the block admit the full burst."""
+    adapter = provider_by_name("aws").adapter
+    saved_quota = adapter.quota
+    adapter.quota = HardCapQuota(BATCH_QUOTA)
+    try:
+        yield
+    finally:
+        adapter.quota = saved_quota
 
 
 def measure_batch():
     """poll_100k_ms / batch_invoke_10k_us, plus the equality+speedup gate.
 
     Runs under a lifted AWS concurrency quota so the full 100k burst is
-    actually admitted (restored afterwards).  Aborts with
-    :class:`AssertionError` if the vectorized and looped paths diverge
-    on seeded aggregates, or if the speedup fell below
-    ``MIN_BATCH_SPEEDUP`` — both are the PR's documented guarantees, so
-    a bench that silently recorded numbers for a broken fast path would
-    be worse than no bench.
+    actually admitted, and asserts on every poll that it was.  Aborts
+    with :class:`AssertionError` if a burst was cut short, if the
+    vectorized and looped paths diverge on seeded aggregates, or if the
+    speedup fell below ``MIN_BATCH_SPEEDUP`` — a bench that silently
+    recorded numbers for a smaller burst or a broken fast path would be
+    worse than no bench.
     """
-    aws = provider_by_name("aws")
-    saved_quota = aws.concurrency_quota
-    aws.concurrency_quota = BATCH_QUOTA
-    try:
+    with lifted_aws_quota():
         assert _batch_keys(True) == _batch_keys(False), \
             "vectorized poll_batch diverged from the looped spec"
 
@@ -165,8 +179,9 @@ def measure_batch():
             cloud, deployment = _batch_cloud()
 
             def one_poll():
-                cloud.poll_batch(deployment, n_requests,
-                                 vectorize=vectorize)
+                result = cloud.poll_batch(deployment, n_requests,
+                                          vectorize=vectorize)
+                assert result.requested == n_requests, result.requested
                 cloud.clock.advance(3600.0)  # expire capacity between
 
             return best_of(one_poll, repeats=BATCH_REPEATS)
@@ -183,8 +198,6 @@ def measure_batch():
             "poll_100k_loop_ms": looped_s * 1e3,
             "batch_invoke_10k_us": time_path(True, BATCH_10K) * 1e6,
         }
-    finally:
-        aws.concurrency_quota = saved_quota
 
 
 def _serve_gateway(batch_floor, seed=311):
@@ -228,12 +241,10 @@ def measure_serve():
     requests resolved per *wall* second; the scalar leg runs a shorter
     sim window because it is the slow path being bounded, not measured
     at length.  Aborts if coalescing fell below ``MIN_SERVE_SPEEDUP`` x
-    scalar — the tentpole's documented guarantee.
+    scalar, or if the account quota throttled any request (the run would
+    then measure the quota, not dispatch).
     """
-    aws = provider_by_name("aws")
-    saved_quota = aws.concurrency_quota
-    aws.concurrency_quota = BATCH_QUOTA
-    try:
+    with lifted_aws_quota():
         def time_run(batch_floor, sim_s, repeats):
             # Best-of over fresh gateways (a gateway can't re-run), same
             # min-over-repeats discipline as every cost metric above —
@@ -244,6 +255,9 @@ def measure_serve():
                 start = time.perf_counter()
                 report = gateway.run_sync(sim_s)
                 elapsed = time.perf_counter() - start
+                throttled = gateway.controller.account.throttled_requests
+                assert throttled == 0, \
+                    "serve bench throttled {} requests".format(throttled)
                 rps = (report.served + report.failed) / elapsed
                 if rps > best_rps:
                     best_rps, best_report = rps, report
@@ -263,8 +277,6 @@ def measure_serve():
             "serve_scalar_rps": scalar_rps,
             "serve_p99_ms": report.quantile_ms(0.99),
         }
-    finally:
-        aws.concurrency_quota = saved_quota
 
 
 def measure_build():

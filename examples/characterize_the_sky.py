@@ -13,6 +13,7 @@ from repro import (
     SkyMesh,
     build_sky,
 )
+from repro.cloudsim.adapters import sampling_poll_size
 
 
 def characterize_globally(cloud, mesh, accounts, polls=4):
@@ -25,7 +26,7 @@ def characterize_globally(cloud, mesh, accounts, polls=4):
             memory_base_mb=region.provider.memory_options_mb[-1] - 128)
         campaign = SamplingCampaign(
             cloud, endpoints, max_polls=polls,
-            n_requests=min(1000, region.provider.concurrency_quota))
+            n_requests=sampling_poll_size(region.provider))
         profiles[region_name] = campaign.run().ground_truth()
         cloud.clock.advance(60.0)
     return profiles

@@ -19,6 +19,7 @@ from repro import (
     build_sky,
     workload_by_name,
 )
+from repro.cloudsim.adapters import sampling_poll_size
 from repro.core.policies import CheapestCostPolicy
 from repro.workloads import resolve_runtime_model
 
@@ -52,7 +53,7 @@ def main():
             memory_base_mb=provider.memory_options_mb[0])
         campaign = SamplingCampaign(
             cloud, endpoints, max_polls=4,
-            n_requests=min(1000, provider.concurrency_quota))
+            n_requests=sampling_poll_size(provider))
         profile = campaign.run().ground_truth()
         store.put(profile)
         print("  {:<12} {}".format(zone_id, profile.shares()))

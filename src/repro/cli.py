@@ -54,6 +54,7 @@ from repro import (
 )
 from repro import reporting
 from repro.common.errors import CharacterizationError
+from repro.cloudsim.adapters import sampling_poll_size
 from repro.cloudsim.catalog import (
     catalog_region_names,
     provider_name_of_zone,
@@ -455,7 +456,7 @@ def cmd_characterize(args, out):
                                - count))
         campaign = SamplingCampaign(
             cloud, endpoints,
-            n_requests=min(1000, region.provider.concurrency_quota),
+            n_requests=sampling_poll_size(region.provider),
             max_polls=args.polls if args.polls else None)
         result = campaign.run()
         _write_campaign_block(out, zones[0], result)

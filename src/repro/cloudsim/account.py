@@ -20,16 +20,16 @@ class CloudAccount(object):
         self._ledger = []
         self._throttled = 0
         self._deployments = {}
-        # Admission is delegated to the provider adapter's quota model;
-        # the default hard cap is stateless and reproduces the historical
-        # ``min(n, quota)`` exactly.
+        # Admission is delegated to the provider adapter's quota model,
+        # which is also the only source of the quota the account reports.
         self._quota_model = provider.adapter.quota
         self._quota_state = self._quota_model.new_state()
 
     # -- quota ------------------------------------------------------------------
     @property
     def concurrency_quota(self):
-        return self.provider.concurrency_quota
+        """The most this account admits in one burst when fresh."""
+        return self._quota_model.ceiling
 
     def admit_batch(self, n_requests, now=0.0):
         """How many of ``n_requests`` simultaneous requests the quota admits.

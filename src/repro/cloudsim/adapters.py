@@ -1,44 +1,53 @@
 """Provider adapters: pluggable platform behavior behind ``ProviderConfig``.
 
-The seed simulator hard-coded one FaaS flavor as scalars on
-:class:`~repro.cloudsim.provider.ProviderConfig` — a single ``cold_start_s``,
-a sliding keep-alive float, a hard concurrency cap, and one pool-scaling
-tuple baked into :func:`~repro.cloudsim.catalog.zone_recipe`.  Real
-platforms differ on every one of those axes ("Serverless Computing: Behind
-the Scenes of Major Platforms"), so each axis is now a small strategy
-object collected on a :class:`ProviderAdapter`:
+Real FaaS platforms differ on cold start, keep-alive, quota and pool
+scaling ("Serverless Computing: Behind the Scenes of Major Platforms"),
+so each axis is a small strategy object collected on a
+:class:`ProviderAdapter` — the only place a provider states them:
 
 * **cold-start distribution** — how long a cold request's init takes.
-  :class:`FixedColdStart` reproduces the seed behavior bit-identically
-  (it consumes *no* randomness); :class:`LognormalColdStart` and
+  :class:`FixedColdStart` consumes *no* randomness (the paper's three
+  platforms use it); :class:`LognormalColdStart` and
   :class:`BimodalColdStart` sample on the shared cloud RNG stream, with
   a batched :meth:`~ColdStartDistribution.sample_n` so the vectorized
   and looped ``poll_batch`` paths draw identically;
-* **keep-alive policy** — sliding idle window (the default), a fixed
-  lease that caps an instance's total lifetime, or CaaS-style container
-  reuse with a pinned min-instance floor;
-* **quota model** — hard cap (the default), burst-then-throttle, or a
-  token-refill bucket, holding per-account state;
+* **keep-alive policy** — sliding idle window, a fixed lease that caps
+  an instance's total lifetime, or CaaS-style container reuse with a
+  pinned min-instance floor;
+* **quota model** — hard cap, burst-then-throttle, or a token-refill
+  bucket, holding per-account state;
 * **pool-scaling rule** — the surge-capacity envelope written into zone
   recipes;
 * **preemption** — an optional ``(interval_s, fraction)`` schedule of
   seeded capacity reclaims (spot-style), applied by
   :class:`PreemptionProcess`.
 
-Pricing stays the :class:`~repro.cloudsim.billing.BillingModel` already
-carried by ``ProviderConfig.billing``; scenario packs supply their own.
+Pricing stays the :class:`~repro.cloudsim.billing.BillingModel` carried
+by ``ProviderConfig.billing``; scenario packs supply their own.
 
-Every default component is constructed so the seed RNG stream and every
-seeded outcome are **bit-identical** to the pre-adapter code: fixed
-cold starts draw nothing, the default scaling rule emits the exact
-legacy tuple, the hard cap admits ``min(n, quota)``, and the sliding
-keep-alive adds zero work to the allocation path.
+Fixed cold starts draw nothing, the default scaling rule emits the
+historical recipe tuple, the hard cap admits ``min(n, cap)``, and the
+sliding keep-alive adds zero work to the allocation path — which keeps
+the core providers' seeded outputs stable.
 """
+
+from operator import attrgetter
 
 import numpy as np
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import derive_rng
+
+
+def _positive_count(name, value):
+    """``value`` as a positive int, refusing fractions: a quota of 1000.7
+    or 0.5 requests is a caller bug, not 1000 or 0."""
+    count = int(value)
+    if count != value or count <= 0:
+        raise ConfigurationError(
+            "{} must be a positive integral count, got {!r}".format(
+                name, value))
+    return count
 
 
 # -- cold-start distributions --------------------------------------------------
@@ -66,8 +75,8 @@ class ColdStartDistribution(object):
 class FixedColdStart(ColdStartDistribution):
     """The seed behavior: every cold start costs exactly ``cold_start_s``.
 
-    Consumes no randomness on either path, which is what keeps the
-    default adapter's RNG stream identical to the pre-adapter code.
+    Consumes no randomness on either path, so the cloud RNG stream is
+    the same as if cold starts were not modelled at all.
     """
 
     __slots__ = ("cold_start_s",)
@@ -211,10 +220,8 @@ class ContainerReuseKeepAlive(object):
     def __init__(self, idle_ttl, min_instances):
         if idle_ttl <= 0:
             raise ConfigurationError("idle_ttl must be positive")
-        if min_instances <= 0:
-            raise ConfigurationError("min_instances must be positive")
         self.idle_ttl = float(idle_ttl)
-        self.min_instances = int(min_instances)
+        self.min_instances = _positive_count("min_instances", min_instances)
 
     def spec(self):
         return ("container-reuse", self.idle_ttl, self.min_instances)
@@ -249,10 +256,16 @@ class QuotaModel(object):
 
     ``new_state()`` creates the per-account mutable state (None for
     stateless models); ``admit(state, n, now)`` returns how many of the
-    ``n`` simultaneous requests pass.  Models never consume randomness.
+    ``n`` simultaneous requests pass.  ``ceiling`` is the most a fresh
+    account admits in one burst — the quota an account reports.  Models
+    never consume randomness.
     """
 
     __slots__ = ()
+
+    @property
+    def ceiling(self):
+        raise NotImplementedError
 
     def new_state(self):
         return None
@@ -265,11 +278,10 @@ class HardCapQuota(QuotaModel):
     """The seed behavior: ``min(n, cap)`` — stateless, history-free."""
 
     __slots__ = ("cap",)
+    ceiling = property(attrgetter("cap"))
 
     def __init__(self, cap):
-        if cap <= 0:
-            raise ConfigurationError("quota cap must be positive")
-        self.cap = int(cap)
+        self.cap = _positive_count("quota cap", cap)
 
     def admit(self, state, n_requests, now):
         cap = self.cap
@@ -288,13 +300,14 @@ class BurstThenThrottleQuota(QuotaModel):
     """
 
     __slots__ = ("burst", "sustained", "window_s")
+    ceiling = property(attrgetter("burst"))
 
     def __init__(self, burst, sustained, window_s=60.0):
         if burst <= 0 or sustained <= 0 or window_s <= 0:
             raise ConfigurationError(
                 "burst, sustained, and window_s must be positive")
-        self.burst = int(burst)
-        self.sustained = int(sustained)
+        self.burst = _positive_count("burst", burst)
+        self.sustained = _positive_count("sustained", sustained)
         self.window_s = float(window_s)
 
     def new_state(self):
@@ -327,12 +340,13 @@ class TokenRefillQuota(QuotaModel):
     """
 
     __slots__ = ("capacity", "refill_per_s")
+    ceiling = property(attrgetter("capacity"))
 
     def __init__(self, capacity, refill_per_s):
         if capacity <= 0 or refill_per_s <= 0:
             raise ConfigurationError(
                 "capacity and refill_per_s must be positive")
-        self.capacity = int(capacity)
+        self.capacity = _positive_count("capacity", capacity)
         self.refill_per_s = float(refill_per_s)
 
     def new_state(self):
@@ -353,6 +367,13 @@ class TokenRefillQuota(QuotaModel):
     def __repr__(self):
         return "TokenRefillQuota(capacity={}, refill={:g}/s)".format(
             self.capacity, self.refill_per_s)
+
+
+def sampling_poll_size(provider):
+    """Requests per sampling poll on ``provider``: the paper's 1,000
+    (§3.1), or fewer when a fresh account's quota ceiling admits fewer
+    (IBM, DO)."""
+    return min(1000, provider.adapter.quota.ceiling)
 
 
 # -- pool scaling --------------------------------------------------------------
@@ -496,17 +517,3 @@ class PreemptionProcess(object):
         return "PreemptionProcess({!r}, every {:g}s @ {:.0%})".format(
             self.zone_id, self.interval_s, self.fraction)
 
-
-def default_adapter(provider):
-    """The adapter reproducing ``provider``'s legacy scalars bit-identically.
-
-    Fixed cold start (no RNG draws), sliding keep-alive at the provider's
-    TTL, a hard concurrency cap, the legacy scaling tuple, no preemption.
-    """
-    return ProviderAdapter(
-        cold_start=FixedColdStart(provider.cold_start_s),
-        keepalive=SlidingWindowKeepAlive(provider.keepalive),
-        quota=HardCapQuota(provider.concurrency_quota),
-        scaling=PoolScalingRule(),
-        preemption=None,
-    )

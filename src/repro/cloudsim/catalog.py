@@ -283,7 +283,7 @@ def zone_recipe(zone_id, spec, provider):
     recipe = {
         "zone_id": zone_id,
         "pools": tuple(pools),
-        "keepalive": provider.keepalive,
+        "keepalive": adapter.keepalive.idle_ttl,
         # The default PoolScalingRule reproduces the historical envelope
         # ``(0.85, 8, max(256, slots // 12))`` exactly.
         "scaling": adapter.scaling.recipe(spec.slots),

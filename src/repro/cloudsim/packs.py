@@ -88,10 +88,7 @@ GCP_FUNCTIONS = ProviderConfig(
     name="gcp",
     memory_options_mb=(128, 256, 512, 1024, 2048, 4096, 8192),
     archs=("x86_64",),
-    concurrency_quota=1000,
     billing=GCP_BILLING,
-    keepalive=900.0,
-    cold_start_s=0.45,
     slots_per_host=64,
     base_arrival_window=0.30,
     function_timeout=540.0,
@@ -107,10 +104,7 @@ AZURE_FUNCTIONS = ProviderConfig(
     name="azure",
     memory_options_mb=(128, 256, 512, 1024, 1536),
     archs=("x86_64",),
-    concurrency_quota=600,
     billing=AZURE_BILLING,
-    keepalive=1200.0,
-    cold_start_s=0.25,
     slots_per_host=48,
     base_arrival_window=0.40,
     function_timeout=600.0,
@@ -127,10 +121,7 @@ OPENWHISK = ProviderConfig(
     name="openwhisk",
     memory_options_mb=(128, 256, 512, 1024, 2048),
     archs=("x86_64",),
-    concurrency_quota=300,
     billing=OPENWHISK_BILLING,
-    keepalive=600.0,
-    cold_start_s=0.30,
     slots_per_host=32,
     base_arrival_window=0.45,
     function_timeout=300.0,
@@ -146,10 +137,7 @@ CODE_ENGINE_CAAS = ProviderConfig(
     name="ce-caas",
     memory_options_mb=(1024, 2048, 4096, 8192),
     archs=("x86_64",),
-    concurrency_quota=250,
     billing=CE_CAAS_BILLING,
-    keepalive=600.0,
-    cold_start_s=2.2,
     slots_per_host=48,
     base_arrival_window=0.45,
     function_timeout=600.0,
@@ -166,10 +154,7 @@ SPOT_LAMBDA = ProviderConfig(
     memory_options_mb=(128, 256, 512, 1024, 2048, 4096, 6144, 8192,
                        10240),
     archs=("x86_64", "arm64"),
-    concurrency_quota=1000,
     billing=SPOT_BILLING,
-    keepalive=300.0,
-    cold_start_s=0.18,
     slots_per_host=64,
     base_arrival_window=0.25,
     adapter=ProviderAdapter(

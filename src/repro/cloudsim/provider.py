@@ -2,14 +2,19 @@
 
 A :class:`ProviderConfig` captures everything that differs between FaaS
 platforms from the perspective of the experiments: the deployable memory
-ladder, supported architectures, per-account concurrency quota, billing,
-keep-alive, cold-start behaviour, and the client fan-out *arrival window*
-model used by the unique-FI analysis (Figure 3).
+ladder, supported architectures, billing, the adapter holding quota,
+keep-alive and cold-start behaviour, and the client fan-out *arrival
+window* model used by the unique-FI analysis (Figure 3).
 """
 
 from repro.common.errors import ConfigurationError
 from repro.common.units import MILLIS, MINUTES
-from repro.cloudsim.adapters import default_adapter
+from repro.cloudsim.adapters import (
+    FixedColdStart,
+    HardCapQuota,
+    ProviderAdapter,
+    SlidingWindowKeepAlive,
+)
 from repro.cloudsim.billing import (
     AWS_LAMBDA_BILLING,
     DIGITAL_OCEAN_BILLING,
@@ -22,37 +27,31 @@ class ProviderConfig(object):
 
     ``adapter`` bundles the platform's pluggable behavior — cold-start
     distribution, keep-alive policy, quota model, pool scaling,
-    preemption (:mod:`repro.cloudsim.adapters`).  When omitted, the
-    default adapter reproduces the legacy scalar semantics
-    bit-identically.
+    preemption (:mod:`repro.cloudsim.adapters`) — and is the only place
+    those are stated.
     """
 
-    __slots__ = ("name", "memory_options_mb", "archs", "concurrency_quota",
-                 "billing", "keepalive", "cold_start_s", "slots_per_host",
-                 "base_arrival_window", "reference_memory_mb",
-                 "window_exponent", "function_timeout", "adapter")
+    __slots__ = ("name", "memory_options_mb", "archs", "billing", "adapter",
+                 "slots_per_host", "base_arrival_window",
+                 "reference_memory_mb", "window_exponent",
+                 "function_timeout")
 
-    def __init__(self, name, memory_options_mb, archs, concurrency_quota,
-                 billing, keepalive=5 * MINUTES, cold_start_s=0.18,
+    def __init__(self, name, memory_options_mb, archs, billing, adapter,
                  slots_per_host=64, base_arrival_window=0.25,
                  reference_memory_mb=2048, window_exponent=0.5,
-                 function_timeout=900.0, adapter=None):
+                 function_timeout=900.0):
         if not memory_options_mb:
             raise ConfigurationError("provider needs memory options")
         self.name = name
         self.memory_options_mb = tuple(sorted(memory_options_mb))
         self.archs = tuple(archs)
-        self.concurrency_quota = int(concurrency_quota)
         self.billing = billing
-        self.keepalive = float(keepalive)
-        self.cold_start_s = float(cold_start_s)
+        self.adapter = adapter
         self.slots_per_host = int(slots_per_host)
         self.base_arrival_window = float(base_arrival_window)
         self.reference_memory_mb = int(reference_memory_mb)
         self.window_exponent = float(window_exponent)
         self.function_timeout = float(function_timeout)
-        self.adapter = adapter if adapter is not None else \
-            default_adapter(self)
 
     def validate_memory(self, memory_mb):
         """Memory settings need not be on the ladder (AWS allows any MB in
@@ -96,36 +95,42 @@ AWS_LAMBDA = ProviderConfig(
     # 128 MB .. 10,240 MB; the sky mesh ladder uses the paper's settings.
     memory_options_mb=(128, 256, 512, 1024, 2048, 4096, 6144, 8192, 10240),
     archs=("x86_64", "arm64"),
-    concurrency_quota=1000,
     billing=AWS_LAMBDA_BILLING,
-    keepalive=5 * MINUTES,
-    cold_start_s=0.18,
     slots_per_host=64,
     base_arrival_window=0.25,
+    adapter=ProviderAdapter(
+        cold_start=FixedColdStart(0.18),
+        keepalive=SlidingWindowKeepAlive(5 * MINUTES),
+        quota=HardCapQuota(1000),
+    ),
 )
 
 IBM_CODE_ENGINE = ProviderConfig(
     name="ibm",
     memory_options_mb=(1024, 2048, 4096),
     archs=("x86_64",),
-    concurrency_quota=250,
     billing=IBM_CODE_ENGINE_BILLING,
-    keepalive=10 * MINUTES,
-    cold_start_s=0.55,
     slots_per_host=48,
     base_arrival_window=0.45,
+    adapter=ProviderAdapter(
+        cold_start=FixedColdStart(0.55),
+        keepalive=SlidingWindowKeepAlive(10 * MINUTES),
+        quota=HardCapQuota(250),
+    ),
 )
 
 DIGITAL_OCEAN = ProviderConfig(
     name="do",
     memory_options_mb=(128, 256, 512, 1024),
     archs=("x86_64",),
-    concurrency_quota=120,
     billing=DIGITAL_OCEAN_BILLING,
-    keepalive=10 * MINUTES,
-    cold_start_s=0.40,
     slots_per_host=32,
     base_arrival_window=0.50,
+    adapter=ProviderAdapter(
+        cold_start=FixedColdStart(0.40),
+        keepalive=SlidingWindowKeepAlive(10 * MINUTES),
+        quota=HardCapQuota(120),
+    ),
 )
 
 PROVIDERS = {

@@ -50,7 +50,7 @@ class SkyController(object):
         # so profiling traffic never crowds out the workload itself.
         if recovery_gap is None:
             provider = cloud.region_of_zone(self.zones[0]).provider
-            recovery_gap = provider.keepalive * 1.2
+            recovery_gap = provider.adapter.keepalive.idle_ttl * 1.2
         self.recovery_gap = float(recovery_gap)
         self.passive = passive
         self.client = client

@@ -423,24 +423,11 @@ class SmartRouter(object):
                                 hedged=True, hedge_won=won,
                                 failovers=failovers, latency_s=effective)
 
-    def route_burst(self, n_requests, decide_once=True):
-        """Route a burst of ``n_requests``.
-
-        ``decide_once`` (the default) makes one routing decision for the
-        whole burst, matching how a batch dispatcher works; otherwise every
-        request re-decides (useful when passive observations shift the view
-        mid-burst).
-        """
-        if n_requests <= 0:
-            raise ConfigurationError("n_requests must be positive")
-        decision = self.decide() if decide_once else None
-        return [self.route(decision) for _ in range(n_requests)]
-
     def dispatch_batch(self, n_requests, decision=None, keep_latencies=False,
                        bill_category="serve"):
         """Resolve ``n_requests`` coalesced requests in one columnar poll.
 
-        The batch counterpart of :meth:`route_burst`: one routing decision
+        The batch counterpart of :meth:`route`: one routing decision
         (or the caller's pre-made one), one deployment lookup, one
         :meth:`~repro.cloudsim.Cloud.poll_batch` with the workload payload
         threaded through — no per-request objects.  Returns

@@ -97,8 +97,13 @@ class WorkloadRunner(object):
         self.cloud = cloud
 
     # -- routed bursts -----------------------------------------------------------
-    def run_burst(self, router, n_requests, decide_once=True):
-        requests = router.route_burst(n_requests, decide_once=decide_once)
+    def run_burst(self, router, n_requests):
+        """Route ``n_requests`` on one routing decision, the way a batch
+        dispatcher commits a whole burst to one zone."""
+        if n_requests <= 0:
+            raise ConfigurationError("n_requests must be positive")
+        decision = router.decide()
+        requests = [router.route(decision) for _ in range(n_requests)]
         return BurstResult(router.workload.name, router.policy.name,
                            requests)
 
@@ -140,7 +145,8 @@ class WorkloadRunner(object):
             remaining -= result.served
             # Space batches out so profiling does not saturate the zone.
             self.cloud.clock.advance(
-                deployment.provider.keepalive + mean_duration + 1.0)
+                deployment.provider.adapter.keepalive.idle_ttl
+                + mean_duration + 1.0)
         return CPURuntimeProfile(workload.name, deployment.zone_id,
                                  samples)
 

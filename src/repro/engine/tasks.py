@@ -13,6 +13,7 @@ rather than by object, so the transported payload stays primitive and the
 worker resolves them against its own interpreter state.
 """
 
+from repro.cloudsim.adapters import sampling_poll_size
 from repro.common.errors import ConfigurationError
 from repro.engine.spec import CloudSpec
 
@@ -60,8 +61,7 @@ def _deploy_sampling_endpoints(cloud, account, zone_id, count,
 def _auto_requests(cloud, zone_id, n_requests):
     if n_requests is not None:
         return int(n_requests)
-    provider = cloud.region_of_zone(zone_id).provider
-    return min(1000, provider.concurrency_quota)
+    return sampling_poll_size(cloud.region_of_zone(zone_id).provider)
 
 
 class CampaignSummary(object):
@@ -118,7 +118,7 @@ class CampaignTask(SweepTask):
     """One saturation campaign in one zone on a private cloud.
 
     ``n_requests=None`` resolves to the CLI default
-    ``min(1000, provider quota)`` inside the worker.  ``summary=True``
+    :func:`~repro.cloudsim.adapters.sampling_poll_size` inside the worker.  ``summary=True``
     returns a :class:`CampaignSummary` instead of the full
     :class:`CampaignResult`, shrinking what crosses the process boundary
     from one object per request down to a fixed-size digest — the right

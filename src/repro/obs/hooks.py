@@ -4,7 +4,7 @@ Every instrumented component (zones, host pools, the cloud facade, the
 sampling poller, the retry engine, the controller) holds a bus reference
 that defaults to :data:`NULL_BUS` — a disabled singleton whose ``emit`` is
 a no-op.  Emission sites guard with ``if bus.enabled:`` so the benchmark
-hot paths (vectorized ``place_batch``, ``route_burst``) pay a single
+hot paths (vectorized ``place_batch``, ``SmartRouter.route``) pay a single
 attribute check when observability is off.
 
 Subscribers are plain callables receiving :class:`Event` objects; they can

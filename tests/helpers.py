@@ -47,7 +47,7 @@ def make_cloud(seed=0, zones=None, region_name="test-1", provider="aws",
     for zone_id, pools in sorted(zones.items()):
         region.add_zone(AvailabilityZone(
             zone_id, pools, cloud.clock,
-            keepalive=provider_config.keepalive,
+            keepalive=provider_config.adapter.keepalive.idle_ttl,
             scaling=ScalingPolicy(max_surge_slots=128), rng=seed))
     cloud.add_region(region)
     return cloud

@@ -1,10 +1,10 @@
 """Provider adapters: cold-start distributions, keep-alive policies,
 quota models, pool-scaling rules, preemption, and function timeouts.
 
-The load-bearing contract is the default adapter's *bit-identity* with
-the legacy scalars: ``FixedColdStart`` never touches the RNG, the hard
-cap reproduces ``min(n, quota)``, and the default ``PoolScalingRule``
-recipe matches the historical derivation exactly.
+The load-bearing contracts: ``FixedColdStart`` never touches the RNG,
+the hard cap reproduces ``min(n, quota)``, the default
+``PoolScalingRule`` recipe matches the historical derivation exactly,
+and the quota an account reports is the quota it enforces.
 """
 
 import numpy as np
@@ -25,12 +25,14 @@ from repro.cloudsim.adapters import (
     TokenRefillQuota,
     keepalive_policy_from_spec,
 )
+from repro.cloudsim.account import CloudAccount
 from repro.cloudsim.billing import AWS_LAMBDA_BILLING
 from repro.cloudsim.handlers import ModeledWorkloadHandler, SleepHandler
 from repro.cloudsim.provider import (
     AWS_LAMBDA,
     PROVIDERS,
     ProviderConfig,
+    provider_by_name,
     register_provider,
 )
 from repro.common.errors import ConfigurationError
@@ -125,6 +127,55 @@ class TestQuotaModels(object):
         assert quota.admit(state, 150, 5.0) == 50   # 5 s * 10/s refilled
         assert quota.admit(state, 150, 1000.0) == 100  # capped at capacity
 
+    def test_integral_float_accepted(self):
+        assert HardCapQuota(1000.0).cap == 1000
+
+
+@pytest.mark.parametrize("build", [
+    lambda: HardCapQuota(0.5),
+    lambda: HardCapQuota(1000.7),
+    lambda: BurstThenThrottleQuota(600.5, 200),
+    lambda: BurstThenThrottleQuota(600, 199.9),
+    lambda: TokenRefillQuota(1000.2, 250.0),
+    lambda: ContainerReuseKeepAlive(600.0, 96.5),
+], ids=["cap-0.5", "cap-1000.7", "burst", "sustained", "capacity",
+        "min-instances"])
+def test_fractional_counts_rejected(build):
+    # int() would silently truncate: HardCapQuota(0.5) admitted nothing.
+    with pytest.raises(ConfigurationError):
+        build()
+
+
+ALL_PROVIDERS = ("aws", "ibm", "do", "gcp", "azure", "openwhisk",
+                 "ce-caas", "spot")
+
+
+class TestReportedQuotaIsEnforced(object):
+    @pytest.mark.parametrize("name", ALL_PROVIDERS)
+    def test_fresh_account_reports_what_it_admits(self, name):
+        provider = provider_by_name(name)
+        account = CloudAccount("acct", provider)
+        reported = account.concurrency_quota
+        assert reported == provider.adapter.quota.ceiling
+        assert reported == account.admit_batch(10 ** 9, 0.0)
+
+    def test_swapping_the_quota_moves_both(self):
+        config = ProviderConfig(
+            name="swap-faas", memory_options_mb=(1024,),
+            archs=("x86_64",), billing=AWS_LAMBDA_BILLING,
+            adapter=ProviderAdapter(FixedColdStart(0.18),
+                                    SlidingWindowKeepAlive(300.0),
+                                    HardCapQuota(1000)))
+        before = CloudAccount("before", config)
+        config.adapter.quota = HardCapQuota(200000)
+        after = CloudAccount("after", config)
+        # Each account keeps the model it was opened with; what it
+        # reports and what it admits never come from different models.
+        assert before.concurrency_quota == 1000
+        assert before.admit_batch(10 ** 9, 0.0) == 1000
+        assert after.concurrency_quota == 200000
+        assert after.admit_batch(10 ** 9, 0.0) == 200000
+
 
 class TestPoolScalingRule(object):
     def test_default_recipe_matches_legacy_derivation(self):
@@ -156,13 +207,13 @@ class TestProviderAdapter(object):
                                   HardCapQuota(10))
         assert adapter.scaling.recipe(1200) == (0.85, 8, max(256, 100))
 
-    def test_default_adapter_reproduces_legacy_scalars(self):
+    def test_aws_adapter_declares_paper_scalars(self):
         adapter = AWS_LAMBDA.adapter
         assert adapter.cold_start.is_fixed
-        assert adapter.cold_start.sample(None) == AWS_LAMBDA.cold_start_s
-        assert adapter.keepalive.spec() == ("sliding", AWS_LAMBDA.keepalive)
-        assert adapter.quota.admit(None, 5000, 0.0) == \
-            AWS_LAMBDA.concurrency_quota
+        assert adapter.cold_start.sample(None) == 0.18
+        assert adapter.keepalive.spec() == ("sliding", 300.0)
+        assert adapter.quota.admit(None, 5000, 0.0) == 1000
+        assert adapter.scaling.recipe(1200) == (0.85, 8, 256)
         assert adapter.preemption is None
 
 
@@ -216,8 +267,8 @@ def timeout_provider():
         name=TIMEOUT_PROVIDER,
         memory_options_mb=(128, 10240),
         archs=("x86_64",),
-        concurrency_quota=1000,
         billing=AWS_LAMBDA_BILLING,
+        adapter=AWS_LAMBDA.adapter,
         function_timeout=0.2,
     )
     register_provider(config)
@@ -276,8 +327,8 @@ class TestFunctionTimeout(object):
             name=TIMEOUT_PROVIDER,
             memory_options_mb=(128, 10240),
             archs=("x86_64",),
-            concurrency_quota=1000,
             billing=AWS_LAMBDA_BILLING,
+            adapter=AWS_LAMBDA.adapter,
             function_timeout=0.3,
         )
         register_provider(config)

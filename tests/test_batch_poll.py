@@ -330,7 +330,8 @@ class TestFindInstance(object):
         invocation = cloud.invoke(deployment)
         assert zone.find_instance(invocation.instance_id) is not None
         # Jump past runtime + keepalive; the next operation expires it.
-        cloud.clock.advance(deployment.provider.keepalive + 3600.0)
+        cloud.clock.advance(
+            deployment.provider.adapter.keepalive.idle_ttl + 3600.0)
         cloud.invoke(deployment)
         assert zone.find_instance(invocation.instance_id) is None
 

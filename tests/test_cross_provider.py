@@ -43,7 +43,7 @@ def multi_provider_sky():
     region.add_zone(AvailabilityZone(
         "us-south",
         [HostPool("cascadelake-2.5", 10, ibm.slots_per_host)],
-        cloud.clock, keepalive=ibm.keepalive,
+        cloud.clock, keepalive=ibm.adapter.keepalive.idle_ttl,
         scaling=ScalingPolicy(max_surge_slots=64), rng=121))
     cloud.add_region(region)
     return cloud

@@ -155,7 +155,7 @@ class TestTasks(object):
                             endpoints=2, max_polls=1)
         result = task.run()
         cloud = CloudSpec.for_zones(["lon1"]).build()
-        quota = cloud.region_of_zone("lon1").provider.concurrency_quota
+        quota = cloud.region_of_zone("lon1").provider.adapter.quota.ceiling
         assert result.total_requests == min(1000, quota)
 
     def test_temporal_mode_validation(self):

@@ -117,7 +117,8 @@ class TestModels(object):
     def test_cold_start_storm_forces_and_inflates_cold_starts(self):
         cloud, _, deployments, _ = make_rig(
             [ColdStartStorm(multiplier=4.0, zones=["test-1a"])])
-        provider_cold = deployments["test-1a"].provider.cold_start_s
+        provider_cold = \
+            deployments["test-1a"].provider.adapter.cold_start.cold_start_s
         first = cloud.invoke(deployments["test-1a"])
         # Immediately after, a warm FI exists — the storm must bypass it.
         second = cloud.invoke(deployments["test-1a"])

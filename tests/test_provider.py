@@ -38,8 +38,8 @@ class TestRegistry(object):
             name="test-faas",
             memory_options_mb=(256, 512),
             archs=("x86_64",),
-            concurrency_quota=10,
             billing=AWS_LAMBDA.billing,
+            adapter=AWS_LAMBDA.adapter,
         )
         try:
             register_provider(config)
@@ -60,11 +60,11 @@ class TestAwsLambda(object):
     def test_concurrency_quota_is_1000(self):
         # §3.1: "AWS Lambda had a limit of 1,000 concurrent function
         # requests on the accounts used in this study."
-        assert AWS_LAMBDA.concurrency_quota == 1000
+        assert AWS_LAMBDA.adapter.quota.ceiling == 1000
 
     def test_keepalive_is_five_minutes(self):
         # §4.1: FIs persist ~5 minutes.
-        assert AWS_LAMBDA.keepalive == 300.0
+        assert AWS_LAMBDA.adapter.keepalive.idle_ttl == 300.0
 
     def test_memory_validation_allows_intermediate_values(self):
         assert AWS_LAMBDA.validate_memory(10140) == 10140
@@ -98,7 +98,8 @@ class TestIbmAndDo(object):
         assert IBM_CODE_ENGINE.archs == ("x86_64",)
 
     def test_do_smaller_quota(self):
-        assert DIGITAL_OCEAN.concurrency_quota < AWS_LAMBDA.concurrency_quota
+        assert (DIGITAL_OCEAN.adapter.quota.ceiling
+                < AWS_LAMBDA.adapter.quota.ceiling)
 
 
 class TestArrivalWindow(object):

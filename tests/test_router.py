@@ -10,6 +10,7 @@ from repro.core import (
     RegionalPolicy,
     RetryRoutingPolicy,
     SmartRouter,
+    WorkloadRunner,
 )
 from repro.dynfunc import UniversalDynamicFunctionHandler
 from repro.sampling import CharacterizationBuilder
@@ -76,14 +77,14 @@ class TestRouting(object):
 
     def test_burst_decides_once(self, routing_setup):
         router = make_router(routing_setup, RegionalPolicy())
-        requests = router.route_burst(10)
-        assert len(requests) == 10
-        assert len({r.zone_id for r in requests}) == 1
+        result = WorkloadRunner(routing_setup[0]).run_burst(router, 10)
+        assert result.n == 10
+        assert len(result.zones) == 1
 
     def test_burst_validates_count(self, routing_setup):
         router = make_router(routing_setup, BaselinePolicy("test-1a"))
         with pytest.raises(ConfigurationError):
-            router.route_burst(0)
+            WorkloadRunner(routing_setup[0]).run_burst(router, 0)
 
     def test_latency_includes_client_rtt(self, routing_setup):
         from repro.cloudsim.network import GeoPoint
@@ -100,13 +101,13 @@ class TestPassiveCharacterization(object):
         cloud, mesh, store = routing_setup
         router = make_router(routing_setup, BaselinePolicy("test-1a"),
                              passive=True)
-        router.route_burst(20)
+        WorkloadRunner(cloud).run_burst(router, 20)
         assert store.passive_samples("test-1a") == 20
 
     def test_disabled_by_default(self, routing_setup):
         cloud, mesh, store = routing_setup
         router = make_router(routing_setup, BaselinePolicy("test-1a"))
-        router.route_burst(5)
+        WorkloadRunner(cloud).run_burst(router, 5)
         assert store.passive_samples("test-1a") == 0
 
     def test_passive_profile_converges_to_zone_mix(self, routing_setup):
