@@ -297,18 +297,30 @@ def measure():
         handler=UniversalDynamicFunctionHandler(resolve_runtime_model))
     payload = workload_by_name("sha1_hash").payload()
 
+    # Each loop asserts it ran the size it is named for, the way
+    # measure_batch / measure_serve do: a poll cut short by the quota, an
+    # invocation that ran nothing or a sweep cell that stopped early would
+    # otherwise record a number for less work.
     def poll_loop():
         for _ in range(POLL_ITERS):
-            cloud.poll(sleeper, 1000)
+            result, _ = cloud.poll(sleeper, 1000)
+            assert result.requested == 1000, result.requested
             cloud.clock.advance(400.0)  # let the FIs expire between rounds
 
     def invoke_loop():
+        executed = 0
         for _ in range(INVOKE_ITERS):
-            cloud.invoke(dynamic, payload=payload)
+            invocation = cloud.invoke(dynamic, payload=payload)
+            executed += invocation.runtime_s > 0
             cloud.clock.advance(5.0)  # warm reuse on the next round
+        assert executed == INVOKE_ITERS, executed
 
     def sweep_loop():
-        SweepEngine(workers=1).run(sweep_grid24_tasks())
+        tasks = sweep_grid24_tasks()
+        results = SweepEngine(workers=1).run(tasks)
+        assert len(results) == len(tasks) == 24, len(results)
+        for cell in results:
+            assert cell.polls_run == tasks[0].max_polls, cell.polls_run
 
     numbers = {
         "poll_1000_us": best_of(poll_loop) / POLL_ITERS * 1e6,

@@ -25,11 +25,42 @@ times per poll.  The pool now maintains:
   When a bucket's ``expire_at`` moves (warm reuse, forced release), a fresh
   entry is pushed and the stale one is skipped on pop by comparing against
   the bucket's current ``_heap_key``;
-* ``_warm`` — a per-deployment index of live buckets in insertion order,
-  so :meth:`claim_warm` / :meth:`idle_warm` only scan the one deployment's
-  buckets instead of every tenant's.
+* ``_warm`` — a per-deployment list of buckets in admission order, so
+  :meth:`idle_warm` and the zone's pinned-floor count only scan the one
+  deployment's buckets instead of every tenant's.
 
-All three structures are invisible to callers: the public API and — by
+Warm index
+----------
+:meth:`claim_warm` must take warm-idle buckets in admission order (the
+order of the ``_warm`` list) and stop once the request is covered.  A
+deployment under load holds hundreds of busy buckets and only a few idle
+ones, so instead of walking its list the pool keeps two lazy heaps per
+deployment in ``_index``, built on the deployment's first claim:
+
+* ``busy`` — ``(busy_until, order, bucket)`` for buckets still executing;
+* ``idle`` — ``(order, bucket)`` for buckets whose ``busy_until`` passed.
+
+``order`` is the bucket's admission stamp (``bucket._order``).  A claim
+first promotes every busy entry whose key is due (re-pushing it if the
+bucket's ``busy_until`` has moved later since the push), then pops idle
+entries in admission order until the request is covered: released
+buckets are dropped, buckets that are no longer idle go back where they
+belong, touched buckets move to ``busy`` and the parent half of a split
+stays ``idle``.  Each live bucket of an indexed deployment has exactly
+one entry across the two heaps, so a claim costs O(log n) per bucket it
+promotes or takes, never O(buckets of the deployment).
+
+This is exact because, outside :meth:`claim_warm`, ``busy_until`` only
+ever moves *later* (``touch``, the pinned-floor refresh and the zone's
+warm invoke path all serve an idle FI); a later move is caught when the
+stale entry surfaces.  The one way to move it earlier, a
+:meth:`FIBucket.touch` that holds a busy FI for less than its remaining
+run (a short retry hold), drops the deployment's index so the next claim
+rebuilds it.  The heaps are rebuilt by :meth:`expire`'s global compaction
+(so they never pin released buckets past it) and dropped with the
+deployment's last live bucket.
+
+All of these structures are invisible to callers: the public API and — by
 design — every seeded placement outcome are identical to the naive
 sweep-everything implementation (see ``tests/test_capacity_equivalence``).
 """
@@ -60,6 +91,7 @@ class HostPool(object):
         self._occupied = 0
         self._dead = 0
         self._warm = {}
+        self._index = {}
         self.on_release = None
         self.bus = NULL_BUS
         self.zone_id = ""
@@ -117,6 +149,11 @@ class HostPool(object):
                 else:
                     lst.append(b)
             self._warm = warm
+            if self._index:
+                # Rebuilt, not filtered: the heaps drop every released
+                # bucket, and a deployment with none live loses its index.
+                self._index = {dep: _build_index(warm[dep], now)
+                               for dep in self._index if dep in warm}
 
     def occupied(self, now):
         """Slots held by live (busy or warm) FIs — an O(1) cached read."""
@@ -162,11 +199,15 @@ class HostPool(object):
         bucket._heap_key = key
         self._seq = seq = self._seq + 1
         heapq.heappush(heap, (key, seq, bucket))
+        bucket._order = seq
         warm = self._warm.get(deployment)
         if warm is None:
             self._warm[deployment] = [bucket]
         else:
             warm.append(bucket)
+            index = self._index.get(deployment)
+            if index is not None:
+                heapq.heappush(index[0], (bucket.busy_until, seq, bucket))
         if self.bus.enabled:
             self.bus.emit("host.allocate", now, zone=self.zone_id,
                           cpu=self.cpu_key, count=count)
@@ -192,51 +233,82 @@ class HostPool(object):
         """Reuse up to ``count`` warm-idle FIs of ``deployment``.
 
         Returns the number actually claimed.  Claimed FIs become busy for
-        ``duration`` and get a refreshed keep-alive.  Buckets are split when
-        only part of them is needed.  Only this deployment's warm index is
-        scanned — other tenants' buckets are never visited.
+        ``duration`` and get a refreshed keep-alive.  Buckets are taken in
+        admission order and split when only part of one is needed.  The
+        deployment's warm index (see the module docstring) hands out idle
+        buckets directly, so the cost follows the buckets promoted and
+        claimed, not the deployment's busy population.
         """
         remaining = int(count)
         if remaining <= 0:
             return 0
-        warm = self._warm.get(deployment)
-        if not warm:
-            return 0
-        claimed = 0
-        live = []
-        new_buckets = []
-        for bucket in warm:
+        index = self._index.get(deployment)
+        if index is None:
+            warm = self._warm.get(deployment)
+            if not warm:
+                return 0
+            index = self._index[deployment] = _build_index(warm, now)
+        busy, idle = index
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+        # Promote buckets that finished running; a bucket refreshed since
+        # its entry was pushed goes back under its current busy_until.
+        while busy and busy[0][0] <= now:
+            _, order, bucket = heappop(busy)
             if bucket._released:
                 continue
-            live.append(bucket)
-            if remaining > 0 and bucket.is_idle(now):
-                take = min(bucket._count, remaining)
-                if take == bucket._count:
-                    if bucket._pinned:
-                        # Pinned floors never expire: refresh busyness
-                        # only, leave the pin horizon untouched.
-                        bucket.busy_until = now + duration
-                    else:
-                        bucket.touch(now, duration, keepalive)
+            until = bucket.busy_until
+            if until > now:
+                heappush(busy, (until, order, bucket))
+            else:
+                heappush(idle, (order, bucket))
+        claimed = 0
+        requeue = []
+        new_buckets = []
+        while remaining and idle:
+            entry = heappop(idle)
+            bucket = entry[1]
+            if bucket._released:
+                continue
+            until = bucket.busy_until
+            if until > now:
+                # Refreshed from outside while idle-indexed: busy again.
+                heappush(busy, (until, entry[0], bucket))
+                continue
+            if now >= bucket._expire_at:
+                requeue.append(entry)  # lapsed, released by the next expire
+                continue
+            take = bucket._count
+            if take > remaining:
+                take = remaining
+                bucket.count -= take
+                reused = FIBucket(deployment, self.cpu_key, take,
+                                  busy_until=now + duration,
+                                  expire_at=now + duration + keepalive)
+                if bucket._pinned:
+                    # Splitting a pinned bucket conserves the pinned
+                    # count: both halves keep the pin horizon.
+                    reused._pinned = True
+                    reused._expire_at = bucket._expire_at
+                elif bucket._lease_until is not None:
+                    # Split-off instances inherit the parent's lease.
+                    reused._lease_until = bucket._lease_until
+                    if reused._expire_at > bucket._lease_until:
+                        reused._expire_at = bucket._lease_until
+                new_buckets.append(reused)
+                requeue.append(entry)  # the parent's remainder stays idle
+            else:
+                if bucket._pinned:
+                    # Pinned floors never expire: refresh busyness only,
+                    # leave the pin horizon untouched.
+                    bucket.busy_until = now + duration
                 else:
-                    bucket.count -= take
-                    reused = FIBucket(deployment, self.cpu_key, take,
-                                      busy_until=now + duration,
-                                      expire_at=now + duration + keepalive)
-                    if bucket._pinned:
-                        # Splitting a pinned bucket conserves the pinned
-                        # count: both halves keep the pin horizon.
-                        reused._pinned = True
-                        reused._expire_at = bucket._expire_at
-                    elif bucket._lease_until is not None:
-                        # Split-off instances inherit the parent's lease.
-                        reused._lease_until = bucket._lease_until
-                        if reused._expire_at > bucket._lease_until:
-                            reused._expire_at = bucket._lease_until
-                    new_buckets.append(reused)
-                remaining -= take
-                claimed += take
-        self._warm[deployment] = live
+                    bucket.touch(now, duration, keepalive)
+                heappush(busy, (bucket.busy_until, entry[0], bucket))
+            remaining -= take
+            claimed += take
+        for entry in requeue:
+            heappush(idle, entry)
         for bucket in new_buckets:
             self._admit(bucket)
         if claimed and self.bus.enabled:
@@ -279,11 +351,20 @@ class HostPool(object):
         self._buckets.append(bucket)
         self._occupied += bucket._count
         self._schedule_expiry(bucket)
+        bucket._order = order = self._seq
         warm = self._warm.get(bucket.deployment)
         if warm is None:
             self._warm[bucket.deployment] = [bucket]
         else:
             warm.append(bucket)
+            index = self._index.get(bucket.deployment)
+            if index is not None:
+                heapq.heappush(index[0], (bucket.busy_until, order, bucket))
+
+    def _busy_shortened(self, bucket):
+        """``bucket.busy_until`` moved earlier: its warm-index entry may now
+        surface late, so drop the deployment's index (rebuilt on demand)."""
+        self._index.pop(bucket.deployment, None)
 
     def _schedule_expiry(self, bucket):
         key = bucket._expire_at
@@ -294,3 +375,20 @@ class HostPool(object):
     def __repr__(self):
         return "HostPool(cpu={}, hosts={}, slots/host={})".format(
             self.cpu_key, self.hosts, self.slots_per_host)
+
+
+def _build_index(warm, now):
+    """A deployment's ``(busy, idle)`` warm-index heaps from its bucket list
+    (admission order), classified at ``now``."""
+    busy = []
+    idle = []
+    for bucket in warm:
+        if bucket._released:
+            continue
+        if bucket.busy_until > now:
+            busy.append((bucket.busy_until, bucket._order, bucket))
+        else:
+            idle.append((bucket._order, bucket))
+    heapq.heapify(busy)
+    # ``idle`` is already sorted by admission order, hence a heap.
+    return busy, idle

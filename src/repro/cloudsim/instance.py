@@ -27,8 +27,10 @@ accounting-relevant fields change out from under it:
   background process; the pool re-keys the bucket in its expiry heap.
 
 ``busy_until`` only affects idleness (never slot accounting), so it stays a
-plain attribute.  Buckets not yet admitted to a pool (``_pool is None``)
-behave exactly like the plain records they used to be.
+plain attribute.  The pool's warm index relies on it only ever moving
+later; :meth:`touch` reports the one exception (a hold shorter than the
+remaining run) to the pool.  Buckets not yet admitted to a pool
+(``_pool is None``) behave exactly like the plain records they used to be.
 """
 
 
@@ -37,7 +39,7 @@ class FIBucket(object):
 
     __slots__ = ("deployment", "cpu_key", "busy_until",
                  "_count", "_expire_at", "_pool", "_heap_key", "_released",
-                 "_lease_until", "_pinned")
+                 "_lease_until", "_pinned", "_order")
 
     # Identity defaults: anonymous buckets answer ``instance_id is None``
     # with a plain attribute read, so release-path type checks never pay
@@ -52,6 +54,9 @@ class FIBucket(object):
         self._pool = None
         self._heap_key = None
         self._released = False
+        # Admission stamp, set by the owning pool: orders the pool's warm
+        # index the way its per-deployment bucket list is ordered.
+        self._order = None
         # Keep-alive-policy state (set by the zone's policy hook, never
         # on the default sliding-window path): ``_lease_until`` caps the
         # total lifetime; ``_pinned`` marks CaaS min-instance floors that
@@ -106,8 +111,13 @@ class FIBucket(object):
         A fixed-lease policy caps the refresh: the keep-alive never
         extends past ``_lease_until`` (None on the default path).
         """
-        self.busy_until = now + duration
-        expire = self.busy_until + keepalive
+        busy_until = now + duration
+        if busy_until < self.busy_until and self._pool is not None:
+            # A hold shorter than the remaining run: the only way
+            # busy_until moves earlier, which the warm index must hear.
+            self._pool._busy_shortened(self)
+        self.busy_until = busy_until
+        expire = busy_until + keepalive
         lease = self._lease_until
         if lease is not None and expire > lease:
             expire = lease

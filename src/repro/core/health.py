@@ -10,6 +10,7 @@ healthy zone beats fresh data from a browning-out one.
 """
 
 from collections import deque
+from itertools import repeat
 
 from repro.core.resilience import CircuitBreaker
 from repro.obs.hooks import NULL_BUS
@@ -91,6 +92,17 @@ class ZoneHealthTracker(object):
         record = self._record(zone_id)
         record.outcomes.append((now, False))
         record.breaker.record_failure(now)
+
+    def record_failures(self, zone_id, now, n, reason="handler_error"):
+        """``n`` failures at ``now`` in one call: the same outcomes window
+        and breaker state as ``n`` calls of :meth:`record_failure`."""
+        if n <= 0:
+            return
+        record = self._record(zone_id)
+        outcomes = record.outcomes
+        # The deque keeps only its last ``maxlen`` entries anyway.
+        outcomes.extend(repeat((now, False), min(n, outcomes.maxlen)))
+        record.breaker.record_failures(now, n)
 
     # -- queries -------------------------------------------------------------
     def state(self, zone_id):

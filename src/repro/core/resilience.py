@@ -126,6 +126,25 @@ class CircuitBreaker(object):
             if self._consecutive_failures >= self.failure_threshold:
                 self._open(now)
 
+    def record_failures(self, now, n):
+        """Record ``n`` failures at ``now``: the same end state, transitions
+        and callbacks as ``n`` calls of :meth:`record_failure`, in O(1).
+
+        Closed, the breaker opens once if the consecutive count reaches
+        the threshold within the ``n``; half-open, the first failure
+        re-opens it; open, failures change nothing.
+        """
+        if n <= 0:
+            return
+        if self.state == self.HALF_OPEN:
+            self._open(now)
+        elif self.state == self.CLOSED:
+            failures = self._consecutive_failures + n
+            if failures >= self.failure_threshold:
+                self._open(now)
+            else:
+                self._consecutive_failures = failures
+
     def _open(self, now):
         self._transition(now, self.OPEN)
         self._opened_at = float(now)

@@ -450,9 +450,8 @@ class SmartRouter(object):
             if result.served:
                 health.record_success(decision.zone_id, now,
                                       latency_s=result.mean_latency_s)
-            for _ in range(result.failed):
-                health.record_failure(decision.zone_id, now,
-                                      reason="saturated")
+            health.record_failures(decision.zone_id, now, result.failed,
+                                   reason="saturated")
         if self.passive and result.served:
             # One aggregate timestamp per CPU group, mirroring what the
             # scalar path would have recorded request by request (the

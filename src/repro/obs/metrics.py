@@ -173,10 +173,16 @@ class Histogram(object):
             fill = min(size - len(reservoir), n)
             reservoir.extend(vals[:fill])
             count += fill
-        rng = self._rng
+        # ``rng.randrange(count)`` inlined: CPython draws it as
+        # ``_randbelow(count)``, rejection-sampling ``count.bit_length()``
+        # bits, so these are the same draws and the same RNG state.
+        getrandbits = self._rng.getrandbits
         for value in vals[fill:]:
             count += 1
-            slot = rng.randrange(count)
+            k = count.bit_length()
+            slot = getrandbits(k)
+            while slot >= count:
+                slot = getrandbits(k)
             if slot < size:
                 reservoir[slot] = value
         self.count = count

@@ -14,8 +14,6 @@ much to trust it:
 
 import math
 
-from scipy import stats
-
 from repro.common.errors import CharacterizationError, ConfigurationError
 
 # A placement wave fills ~15 % of a 64-slot host before spilling, so
@@ -68,6 +66,11 @@ class CharacterizationEstimator(object):
             alpha = self._effective[cpu_key] + self.prior
             beta = (self.effective_samples - self._effective[cpu_key]
                     + self.prior * max(1, len(self._effective) - 1))
+        # scipy.stats is imported where it is used: it costs ~70 MB of
+        # resident memory, which every process importing ``repro`` would
+        # otherwise pay (sweep workers, the serving gateway).
+        from scipy import stats
+
         tail = (1.0 - confidence) / 2.0
         low = float(stats.beta.ppf(tail, alpha, beta))
         high = float(stats.beta.ppf(1.0 - tail, alpha, beta))
@@ -109,6 +112,8 @@ class CharacterizationEstimator(object):
         share = self._effective.get(cpu_key, 0.0)
         total = self.effective_samples
         p = (share + self.prior) / (total + 2 * self.prior)
+        from scipy import stats
+
         z = float(stats.norm.ppf(1.0 - (1.0 - confidence) / 2.0))
         needed_effective = (z / target_halfwidth) ** 2 * p * (1.0 - p)
         additional = needed_effective - total

@@ -8,8 +8,6 @@ agglomeratively (scipy's linkage) at a chosen distance threshold.
 """
 
 import numpy as np
-from scipy.cluster import hierarchy
-from scipy.spatial.distance import squareform
 
 from repro.common.errors import ConfigurationError
 from repro.common.distributions import total_variation_distance
@@ -67,6 +65,11 @@ class SimilarityMatrix(object):
         """
         if threshold <= 0:
             raise ConfigurationError("threshold must be positive")
+        # Imported here, like scipy.stats in the estimators: scipy's
+        # clustering is needed only when zones are actually clustered.
+        from scipy.cluster import hierarchy
+        from scipy.spatial.distance import squareform
+
         condensed = squareform(self._matrix, checks=False)
         linkage = hierarchy.linkage(condensed, method=method)
         labels = hierarchy.fcluster(linkage, t=threshold,

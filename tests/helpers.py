@@ -8,6 +8,16 @@ from repro.cloudsim.provider import provider_by_name
 from repro.cloudsim.region import Region
 from repro.simclock import SimClock
 
+#: One representative zone per scenario pack; 1,024 MB is on every pack's
+#: memory ladder.
+PACK_ZONES = {
+    "gcp": "gcp-us-central1a",
+    "azure": "azure-eastusa",
+    "openwhisk": "ow-onprem-1a",
+    "ce-caas": "ce-caas-1a",
+    "spot": "spot-us-1a",
+}
+
 
 def make_zone(zone_id="test-1a", clock=None, pools=None, seed=0,
               keepalive=300.0, scaling=None):

@@ -11,11 +11,16 @@ implementation it replaced.  This module keeps that promise executable:
 * the campaign tests drive two identically-seeded clouds, one stock and one
   with every pool swapped for the naive spec, through a 50-poll saturation
   campaign and a 400-invocation routing campaign (warm reuse, ``force_new``
-  storms, holds) and require byte-identical transcripts;
-* a hypothesis state machine interleaves allocations, warm claims, splits,
-  resizes, and *external* bucket mutations (the background process shrinks
-  counts and force-expires buckets out from under the pool) and checks the
-  O(1) cached occupancy never drifts from the ground-truth sweep.
+  storms, holds) and require byte-identical transcripts — on AWS and on
+  every scenario pack, so pinned floors, fixed leases and preemption are
+  covered too;
+* a hypothesis state machine interleaves allocations (plain, pinned and
+  leased), warm claims, splits, resizes, and *external* bucket mutations
+  (the background process shrinks counts and force-expires buckets, the
+  zone's warm invoke path and retry holds move ``busy_until``) and checks
+  that the O(1) cached occupancy never drifts from the ground-truth sweep,
+  that both pools hold identical buckets, and that the warm index keeps
+  exactly one entry per live bucket.
 """
 
 import pytest
@@ -34,10 +39,20 @@ from repro.cloudsim.background import BackgroundLoad
 from repro.cloudsim.handlers import SleepHandler
 from repro.cloudsim.host import HostPool
 from repro.cloudsim.instance import FIBucket
+from repro.cloudsim.packs import PACK_PROVIDERS
 from repro.common.errors import ConfigurationError, SaturationError
 from repro.common.units import MINUTES
+from repro.engine.spec import CloudSpec
+from tests.helpers import PACK_ZONES
 
 _NEG_INF = float("-inf")
+
+
+class _Buckets(list):
+    """A deployment's buckets that is truthy even when empty."""
+
+    def __bool__(self):
+        return True
 
 
 class _AlwaysWarm(object):
@@ -45,11 +60,16 @@ class _AlwaysWarm(object):
 
     The seed consulted ``claim_warm`` unconditionally; returning a truthy
     value for every key makes the zone's warm-index fast-path guard a no-op
-    so the naive pool sees the same call sequence the seed did.
+    so the naive pool sees the same call sequence the seed did.  The value
+    still lists the deployment's buckets, which the zone's pinned-floor
+    count reads.
     """
 
+    def __init__(self, pool):
+        self._pool = pool
+
     def get(self, key, default=None):
-        return True
+        return _Buckets(b for b in self._pool._buckets if b.deployment == key)
 
 
 class NaiveHostPool(HostPool):
@@ -66,7 +86,7 @@ class NaiveHostPool(HostPool):
         super(NaiveHostPool, self).__init__(cpu_key, hosts, slots_per_host,
                                             affinity)
         self._heap = [(_NEG_INF, 0, None)]
-        self._warm = _AlwaysWarm()
+        self._warm = _AlwaysWarm(self)
 
     # -- the original algorithms -------------------------------------------
     def expire(self, now):
@@ -116,12 +136,23 @@ class NaiveHostPool(HostPool):
                     and bucket.is_idle(now)):
                 take = min(bucket.count, remaining)
                 if take == bucket.count:
-                    bucket.touch(now, duration, keepalive)
+                    if bucket._pinned:
+                        # Pinned floors keep their horizon.
+                        bucket.busy_until = now + duration
+                    else:
+                        bucket.touch(now, duration, keepalive)
                 else:
                     bucket.count -= take
                     reused = FIBucket(deployment, self.cpu_key, take,
                                       busy_until=now + duration,
                                       expire_at=now + duration + keepalive)
+                    if bucket._pinned:
+                        reused._pinned = True
+                        reused._expire_at = bucket._expire_at
+                    elif bucket._lease_until is not None:
+                        reused._lease_until = bucket._lease_until
+                        reused._expire_at = min(reused._expire_at,
+                                                bucket._lease_until)
                     new_buckets.append(reused)
                 remaining -= take
                 claimed += take
@@ -163,12 +194,14 @@ def naivify(cloud):
 # Seeded campaign equivalence
 # ---------------------------------------------------------------------------
 
-def _saturation_and_routing_transcript(cloud):
+def _saturation_and_routing_transcript(cloud, provider="aws",
+                                       zone_id="eu-central-1a",
+                                       memory_mb=2048):
     """Drive the digest campaign: 50 saturating polls, then a routed
     invocation storm with warm reuse, force_new retries, and holds."""
-    account = cloud.create_account("equiv", "aws")
+    account = cloud.create_account("equiv", provider)
     endpoints = [
-        cloud.deploy(account, "eu-central-1a", "ep-{}".format(i), 2048,
+        cloud.deploy(account, zone_id, "ep-{}".format(i), memory_mb,
                      handler=SleepHandler(15.0))
         for i in range(50)
     ]
@@ -183,7 +216,7 @@ def _saturation_and_routing_transcript(cloud):
             result.timestamp, bill.total))
         cloud.clock.advance(2.5)
 
-    service = cloud.deploy(account, "eu-central-1a", "svc", 2048,
+    service = cloud.deploy(account, zone_id, "svc", memory_mb,
                            handler=SleepHandler(0.4))
     for i in range(400):
         try:
@@ -244,6 +277,62 @@ def test_seeded_campaign_matches_naive_spec(seed, campaign):
     assert stock == naive
 
 
+@pytest.mark.parametrize("pack", sorted(PACK_PROVIDERS))
+def test_pack_campaign_matches_naive_spec(pack):
+    """The same campaign on each pack's own keep-alive, quota, cold-start
+    and preemption semantics (pinned floors, leases, reclaimed capacity)."""
+    zone_id = PACK_ZONES[pack]
+
+    def transcript(cloud):
+        return _saturation_and_routing_transcript(
+            cloud, provider=pack, zone_id=zone_id, memory_mb=1024)
+
+    spec = CloudSpec.for_zones([zone_id], seed=191)
+    stock = transcript(spec.build())
+    naive = transcript(naivify(spec.build()))
+    assert stock == naive
+    assert any(" True " in line for line in stock)  # warm reuse happened
+
+
+def test_warm_index_never_outlives_compaction():
+    """Retention: after ``expire``'s global compaction neither warm-index
+    heap references a released bucket, and a deployment with no live
+    bucket left has no index at all."""
+    pool = HostPool("cpu-x", hosts=8, slots_per_host=16)
+    for _ in range(20):
+        pool.allocate("fn-short", 1, 0.0, duration=1.0, keepalive=5.0)
+    for _ in range(3):
+        pool.allocate("fn-long", 2, 0.0, duration=1.0, keepalive=1e6)
+        pool.allocate("fn-long", 1, 0.0, duration=1.0, keepalive=5.0)
+    pool.allocate("fn-gone", 1, 0.0, duration=1.0, keepalive=5.0)
+    # Build every deployment's index while its buckets are still live.
+    for dep, keepalive in (("fn-short", 5.0), ("fn-long", 1e6),
+                           ("fn-gone", 5.0)):
+        assert pool.claim_warm(dep, 1, 2.5, 0.5, keepalive) == 1
+    assert set(pool._index) == {"fn-short", "fn-long", "fn-gone"}
+    pool.expire(1000.0)  # everything short-lived lapses: compaction
+    assert pool._dead == 0
+    assert set(pool._index) == {"fn-long"}
+    busy, idle = pool._index["fn-long"]
+    indexed = [entry[-1] for entry in busy + idle]
+    assert not any(bucket._released for bucket in indexed)
+    assert sorted(map(id, indexed)) == sorted(
+        id(b) for b in pool._buckets if b.deployment == "fn-long")
+    assert pool.claim_warm("fn-long", 6, 1000.0, 1.0, 5.0) == 6
+
+
+def test_short_hold_rebuilds_the_warm_index():
+    """A hold shorter than the remaining run moves ``busy_until`` earlier;
+    the next claim must still find the FI idle as soon as the hold ends."""
+    stock = HostPool("cpu-x", hosts=2, slots_per_host=8)
+    naive = NaiveHostPool("cpu-x", hosts=2, slots_per_host=8)
+    for pool in (stock, naive):
+        bucket = pool.allocate("fn", 1, 0.0, duration=50.0, keepalive=300.0)
+        assert pool.claim_warm("fn", 1, 1.0, 1.0, 300.0) == 0
+        bucket.touch(2.0, 0.5, 300.0)  # retry hold: busy until 2.5, not 50
+        assert pool.claim_warm("fn", 1, 3.0, 1.0, 300.0) == 1
+
+
 def test_fi_index_stays_bounded_under_force_new_storm():
     """Regression: force_new retry storms never rebuild the warm lookup
     list, so the per-deployment FI index used to grow without bound.  The
@@ -298,8 +387,11 @@ class PoolPairMachine(RuleBasedStateMachine):
     @rule(dep=st.sampled_from(DEPLOYMENTS),
           want=st.integers(min_value=1, max_value=24),
           duration=st.floats(min_value=0.1, max_value=10.0),
-          keepalive=st.floats(min_value=1.0, max_value=120.0))
-    def allocate(self, dep, want, duration, keepalive):
+          keepalive=st.floats(min_value=1.0, max_value=120.0),
+          policy=st.sampled_from(("sliding", "sliding", "pinned",
+                                  "leased")),
+          lease=st.floats(min_value=0.5, max_value=150.0))
+    def allocate(self, dep, want, duration, keepalive, policy, lease):
         free = self.stock.free_slots(self.now)
         assert free == self.naive.free_slots(self.now)
         count = min(want, free)
@@ -307,7 +399,59 @@ class PoolPairMachine(RuleBasedStateMachine):
             return
         a = self.stock.allocate(dep, count, self.now, duration, keepalive)
         b = self.naive.allocate(dep, count, self.now, duration, keepalive)
+        for bucket in (a, b):
+            # What the zone's keep-alive policy hook does to a new bucket.
+            if policy == "pinned":
+                bucket._pinned = True
+                bucket.expire_at = float("inf")  # extension: lazy re-key
+            elif policy == "leased":
+                bucket._lease_until = self.now + lease
+                if bucket.expire_at > bucket._lease_until:
+                    bucket.expire_at = bucket._lease_until  # eager re-key
         self.pairs.append((a, b))
+
+    @rule(dep=st.sampled_from(DEPLOYMENTS),
+          first=st.integers(min_value=1, max_value=12),
+          second=st.integers(min_value=1, max_value=12),
+          duration=st.floats(min_value=0.1, max_value=10.0),
+          keepalive=st.floats(min_value=1.0, max_value=120.0))
+    def claim_twice(self, dep, first, second, duration, keepalive):
+        # A second claim at the same ``now`` right after a (likely) split:
+        # the parent's idle remainder must be found again.
+        for want in (first, second):
+            got_stock = self.stock.claim_warm(dep, want, self.now, duration,
+                                              keepalive)
+            got_naive = self.naive.claim_warm(dep, want, self.now, duration,
+                                              keepalive)
+            assert got_stock == got_naive
+
+    @precondition(lambda self: self.pairs)
+    @rule(pick=st.integers(min_value=0, max_value=10 ** 6),
+          duration=st.floats(min_value=0.1, max_value=30.0),
+          keepalive=st.floats(min_value=1.0, max_value=120.0))
+    def warm_invoke(self, pick, duration, keepalive):
+        # The zone's per-request warm path serves an idle FI from outside
+        # the pool: busy_until moves later.
+        a, b = self.pairs[pick % len(self.pairs)]
+        if a._released or not a.is_idle(self.now):
+            return
+        for bucket in (a, b):
+            if bucket._pinned:
+                bucket.busy_until = self.now + duration
+            else:
+                bucket.touch(self.now, duration, keepalive)
+
+    @precondition(lambda self: self.pairs)
+    @rule(pick=st.integers(min_value=0, max_value=10 ** 6),
+          hold=st.floats(min_value=0.05, max_value=30.0))
+    def hold(self, pick, hold):
+        # A retry hold on a live FI, busy or not: a hold shorter than the
+        # remaining run moves busy_until earlier.
+        a, b = self.pairs[pick % len(self.pairs)]
+        if a._released or a.is_expired(self.now):
+            return
+        a.touch(self.now, hold, 60.0)
+        b.touch(self.now, hold, 60.0)
 
     @rule(dep=st.sampled_from(DEPLOYMENTS),
           want=st.integers(min_value=1, max_value=32),
@@ -374,6 +518,32 @@ class PoolPairMachine(RuleBasedStateMachine):
         assert self.stock._occupied == ground_truth
 
     @invariant()
+    def buckets_agree(self):
+        # The same buckets, in the same order, with the same lifecycle:
+        # both pools claimed exactly the same FIs.
+        if not hasattr(self, "stock"):
+            return
+        self.stock.expire(self.now)
+        self.naive.expire(self.now)
+
+        def states(buckets):
+            return [(b.deployment, b.count, b.busy_until, b.expire_at,
+                     b._pinned, b._lease_until)
+                    for b in buckets if not b._released]
+        assert states(self.stock._buckets) == states(self.naive._buckets)
+
+    @invariant()
+    def warm_index_has_one_entry_per_live_bucket(self):
+        if not hasattr(self, "stock"):
+            return
+        for dep, (busy, idle) in self.stock._index.items():
+            indexed = [entry[-1] for entry in busy + idle
+                       if not entry[-1]._released]
+            live = [b for b in self.stock._buckets
+                    if b.deployment == dep and not b._released]
+            assert sorted(map(id, indexed)) == sorted(map(id, live))
+
+    @invariant()
     def warm_index_agrees(self):
         if not hasattr(self, "stock"):
             return
@@ -383,5 +553,5 @@ class PoolPairMachine(RuleBasedStateMachine):
 
 
 PoolPairMachine.TestCase.settings = settings(
-    max_examples=40, stateful_step_count=40, deadline=None)
+    max_examples=80, stateful_step_count=50, deadline=None)
 TestPoolPairMachine = PoolPairMachine.TestCase

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError
 from repro.obs.metrics import (
@@ -116,6 +118,59 @@ class TestHistogram(object):
             first.observe(value)
             second.observe(value)
         assert first.p95 == second.p95
+
+
+def _histogram_state(histogram):
+    return (list(histogram.bucket_counts), histogram.count, histogram.min,
+            histogram.max, list(histogram._reservoir),
+            histogram._rng.getstate())
+
+
+class TestObserveManyMatchesObserve(object):
+    """``observe_many`` is the batch fast path; per-element ``observe`` is
+    its spec.  Everything must agree exactly except ``sum``, which numpy
+    adds in pairwise order (equal up to float rounding)."""
+
+    @staticmethod
+    def _replay(reservoir_size, start, batches, seed=3):
+        rng = np.random.default_rng(seed)
+        spec = Histogram(reservoir_size=reservoir_size, seed=seed)
+        fast = Histogram(reservoir_size=reservoir_size, seed=seed)
+        warmup = rng.lognormal(-2.0, 1.0, size=start).tolist()
+        for value in warmup:
+            spec.observe(value)
+            fast.observe(value)
+        for size in batches:
+            values = rng.lognormal(-2.0, 1.0, size=size)
+            for value in values.tolist():
+                spec.observe(value)
+            fast.observe_many(values)
+            assert _histogram_state(fast) == _histogram_state(spec)
+            assert fast.sum == pytest.approx(spec.sum, rel=1e-12)
+        return spec, fast
+
+    def test_batch_crossing_the_fill_boundary(self):
+        # 60 fill the reservoir's last slots, the other 140 replay R.
+        spec, _ = self._replay(64, 4, [200])
+        assert spec.count == 204
+
+    def test_counts_crossing_powers_of_two(self):
+        # Running counts pass 128, 256, 512 and 1024 inside batches, where
+        # the rejection draw widens by one bit.
+        self._replay(16, 100, [30, 200, 300, 500])
+
+    def test_batch_exactly_filling_the_reservoir(self):
+        spec, _ = self._replay(32, 0, [32, 1, 31, 33])
+        assert len(spec._reservoir) == 32
+
+    @settings(max_examples=60, deadline=None)
+    @given(reservoir_size=st.integers(min_value=1, max_value=80),
+           start=st.integers(min_value=0, max_value=300),
+           batches=st.lists(st.integers(min_value=1, max_value=300),
+                            min_size=1, max_size=5),
+           seed=st.integers(min_value=0, max_value=2 ** 16))
+    def test_any_batch_sequence(self, reservoir_size, start, batches, seed):
+        self._replay(reservoir_size, start, batches, seed=seed)
 
 
 class TestMetricsRegistry(object):

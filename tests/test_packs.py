@@ -23,15 +23,7 @@ from repro.cloudsim.packs import PACK_PROVIDERS
 from repro.cloudsim.provider import PROVIDERS, provider_by_name
 from repro.cloudsim.shared_catalog import catalog_plan, install_plan
 from repro.engine.spec import CloudSpec
-
-#: One representative zone per pack, memory valid on every pack ladder.
-PACK_ZONES = {
-    "gcp": "gcp-us-central1a",
-    "azure": "azure-eastusa",
-    "openwhisk": "ow-onprem-1a",
-    "ce-caas": "ce-caas-1a",
-    "spot": "spot-us-1a",
-}
+from tests.helpers import PACK_ZONES
 
 
 def _handler():

@@ -227,6 +227,110 @@ class TestZoneHealthTracker(object):
         assert health.snapshot(6.0)["z"]["state"] == "open"
 
 
+class TestCountedFailures(object):
+    """``record_failures(n)`` is the counted fast path; ``n`` calls of
+    ``record_failure`` are its spec.  Each case drives a spec tracker and a
+    counted tracker into the same state, records one batch, and compares
+    everything a caller can observe."""
+
+    @staticmethod
+    def _pair(threshold=3, max_samples=8):
+        def build():
+            bus = EventBus()
+            recorder = EventRecorder(bus=bus)
+            health = ZoneHealthTracker(
+                breaker_factory=lambda: CircuitBreaker(
+                    failure_threshold=threshold, cooldown_s=10.0,
+                    probe_budget=2, probe_successes=2),
+                max_samples=max_samples, bus=bus)
+            return health, recorder
+        return build(), build()
+
+    @staticmethod
+    def _observed(health, recorder):
+        breaker = health.breaker("z")
+        return (breaker.state, breaker._consecutive_failures,
+                breaker._opened_at, list(breaker.transitions),
+                [(e.timestamp, e.fields)
+                 for e in recorder.events("breaker.transition")],
+                health.tripped_breakers,
+                list(health._zones["z"].outcomes),
+                health.error_rate("z", 100.0))
+
+    def _check(self, prelude, n, threshold=3, max_samples=8):
+        (spec, spec_rec), (fast, fast_rec) = self._pair(threshold,
+                                                        max_samples)
+        for health in (spec, fast):
+            prelude(health)
+        for _ in range(n):
+            spec.record_failure("z", 50.0, reason="saturated")
+        fast.record_failures("z", 50.0, n, reason="saturated")
+        assert self._observed(fast, fast_rec) == \
+            self._observed(spec, spec_rec)
+        return fast
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 40])
+    def test_closed_below_at_and_above_threshold(self, n):
+        def prelude(health):
+            health.record_success("z", 1.0, latency_s=0.1)
+        fast = self._check(prelude, n)
+        expected = CircuitBreaker.OPEN if n >= 3 else CircuitBreaker.CLOSED
+        assert fast.state("z") == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_closed_with_earlier_consecutive_failures(self, n):
+        def prelude(health):
+            health.record_failure("z", 1.0)
+        self._check(prelude, n)
+
+    @pytest.mark.parametrize("n", [1, 2, 9])
+    def test_half_open_reopens_on_first_failure(self, n):
+        def prelude(health):
+            health.record_failures("z", 1.0, 3)
+            assert health.allow("z", 20.0)  # cooldown over: half-open
+            assert health.state("z") == CircuitBreaker.HALF_OPEN
+        fast = self._check(prelude, n)
+        assert fast.state("z") == CircuitBreaker.OPEN
+
+    @pytest.mark.parametrize("n", [1, 7])
+    def test_open_ignores_failures(self, n):
+        def prelude(health):
+            for _ in range(3):
+                health.record_failure("z", 1.0)
+            assert health.state("z") == CircuitBreaker.OPEN
+        self._check(prelude, n)
+
+    @pytest.mark.parametrize("n,max_samples", [(8, 8), (9, 8), (500, 8),
+                                               (5, 1)])
+    def test_outcomes_window_at_and_beyond_max_samples(self, n,
+                                                       max_samples):
+        def prelude(health):
+            for t in range(4):
+                health.record_success("z", float(t))
+        fast = self._check(prelude, n, threshold=1000,
+                           max_samples=max_samples)
+        assert len(fast._zones["z"].outcomes) == max_samples
+
+    def test_breaker_alone_matches_scalar_calls(self):
+        for state_setup in ("closed", "half_open", "open"):
+            for n in range(0, 6):
+                spec = CircuitBreaker(failure_threshold=4, cooldown_s=5.0)
+                fast = CircuitBreaker(failure_threshold=4, cooldown_s=5.0)
+                for breaker in (spec, fast):
+                    breaker.record_failure(0.0)
+                    if state_setup != "closed":
+                        breaker.record_failures(0.0, 4)
+                    if state_setup == "half_open":
+                        assert breaker.allow(6.0)
+                for _ in range(n):
+                    spec.record_failure(7.0)
+                fast.record_failures(7.0, n)
+                assert (fast.state, fast._consecutive_failures,
+                        fast._opened_at, fast.transitions) == \
+                    (spec.state, spec._consecutive_failures,
+                     spec._opened_at, spec.transitions)
+
+
 def put_profile(store, zone, counts):
     builder = CharacterizationBuilder(zone)
     builder.add_poll(counts, cost=Money(0), timestamp=0.0)
