@@ -32,6 +32,11 @@ from repro.obs.metrics import Histogram
 from repro.serve.arrivals import ArrivalProcess
 from repro.serve.admission import AdmissionController
 
+#: Served latencies the gateway buffers before folding them into its
+#: latency histograms in one ``observe_many``; it also folds at every
+#: report and when a run ends.
+FOLD_VALUES = 16384
+
 
 class GatewayConfig(object):
     """Tuning knobs for one gateway run; defaults match the ISSUE shape."""
@@ -228,6 +233,9 @@ class ServeGateway(object):
         self._last_staleness_check = None
         self._zone_window = {}  # zone -> [served, failed] since last check
         self._latency_hist = None
+        # Served-latency arrays not yet folded into the histograms.
+        self._pending = []
+        self._pending_values = 0
         if self.obs is not None:
             self._latency_hist = self.obs.registry.histogram(
                 "serve_latency_s")
@@ -291,6 +299,8 @@ class ServeGateway(object):
                 bus.emit("serve.drain", clock.now, drained=drained,
                          requested=self._drain_requested)
         finally:
+            # Drained and aborted runs still account every served latency.
+            self._fold_latencies()
             worker.cancel()
             try:
                 await worker
@@ -443,9 +453,27 @@ class ServeGateway(object):
         report = self.report
         report.latency_sum_s += float(latencies.sum())
         report.slo_hits += int((latencies <= report.slo_s).sum())
-        report.histogram.observe_many(latencies)
+        self._pending.append(latencies)
+        self._pending_values += len(latencies)
+        if self._pending_values >= FOLD_VALUES:
+            self._fold_latencies()
+
+    def _fold_latencies(self):
+        """Observe every buffered flush's latencies, in flush order.
+
+        ``observe_many(*arrays)`` equals one call per array, so the
+        histograms end bit-identical to observing each flush as it
+        happened; folding a report window at once is what lets the
+        reservoir replay run columnar.
+        """
+        pending = self._pending
+        if not pending:
+            return
+        self._pending = []
+        self._pending_values = 0
+        self.report.histogram.observe_many(*pending)
         if self._latency_hist is not None:
-            self._latency_hist.observe_many(latencies)
+            self._latency_hist.observe_many(*pending)
 
     def _emit_batch(self, zone_id, mode, size, result=None, served=0,
                     failed=0, cold=0, cost=0.0, now=0.0):
@@ -518,6 +546,7 @@ class ServeGateway(object):
 
     # -- reporting ------------------------------------------------------------
     def _emit_report(self, now, window_s):
+        self._fold_latencies()
         bus = self.cloud.bus
         win = self._win
         offered, admitted, served = (win["offered"], win["admitted"],

@@ -2,12 +2,13 @@
 
 All three generate their own random graph (no external inputs) and perform
 classic graph computations.  MST and BFS use networkx structures; PageRank
-runs a dense power iteration in numpy for determinism.
+runs a dense power iteration in numpy for determinism.  networkx is
+imported inside the two functions that use it, so ``import repro`` does
+not pay for it.
 """
 
 import collections
 
-import networkx as nx
 import numpy as np
 
 from repro.workloads.base import Workload
@@ -15,6 +16,8 @@ from repro.workloads.base import Workload
 
 def _random_weighted_graph(rng, nodes, edges):
     """A connected Gnm-style graph with uniform random edge weights."""
+    import networkx as nx
+
     graph = nx.Graph()
     graph.add_nodes_from(range(nodes))
     # A random spanning chain guarantees connectivity.
@@ -44,6 +47,8 @@ class GraphMST(Workload):
         return _random_weighted_graph(rng, nodes, edges=nodes * 3)
 
     def run(self, data):
+        import networkx as nx
+
         return nx.minimum_spanning_tree(data, algorithm="kruskal")
 
     def summarize(self, output):

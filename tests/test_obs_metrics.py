@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError
+from repro.obs import metrics
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -159,6 +160,15 @@ class TestObserveManyMatchesObserve(object):
         # the rejection draw widens by one bit.
         self._replay(16, 100, [30, 200, 300, 500])
 
+    def test_values_on_bucket_boundaries(self):
+        values = [0.001, 0.0025, 1.0, 300.0, 300.5, 0.0, -1.0,
+                  float("inf"), 0.001, 60.0]
+        spec, fast = Histogram(reservoir_size=4), Histogram(reservoir_size=4)
+        for value in values:
+            spec.observe(value)
+        fast.observe_many(np.asarray(values))
+        assert _histogram_state(fast) == _histogram_state(spec)
+
     def test_batch_exactly_filling_the_reservoir(self):
         spec, _ = self._replay(32, 0, [32, 1, 31, 33])
         assert len(spec._reservoir) == 32
@@ -171,6 +181,130 @@ class TestObserveManyMatchesObserve(object):
            seed=st.integers(min_value=0, max_value=2 ** 16))
     def test_any_batch_sequence(self, reservoir_size, start, batches, seed):
         self._replay(reservoir_size, start, batches, seed=seed)
+
+
+def _warm_histogram(reservoir_size, count, seed):
+    """A histogram as if ``count`` values had been observed: full
+    reservoir, running count, and an RNG moved off its seed state."""
+    rng = np.random.default_rng(seed)
+    histogram = Histogram(reservoir_size=reservoir_size, seed=seed)
+    if count:
+        fill = min(reservoir_size, count)
+        histogram._reservoir = rng.lognormal(-2.0, 1.0, size=fill).tolist()
+        histogram.count = count
+        histogram.sum = float(sum(histogram._reservoir))
+        histogram.min = min(histogram._reservoir)
+        histogram.max = max(histogram._reservoir)
+    for _ in range(seed % 997):
+        histogram._rng.random()
+    return histogram
+
+
+def _full_state(histogram):
+    return _histogram_state(histogram) + (histogram.sum.hex(),)
+
+
+class TestObserveManyColumnar(object):
+    """Large folds replay algorithm R in bulk through numpy's MT19937;
+    per-element ``observe`` stays the spec, with ``sum`` compared bit
+    for bit against the in-order per-array numpy sums."""
+
+    @staticmethod
+    def _check(reservoir_size, start, calls, seed=11):
+        """``calls`` is a list of tuples of array sizes; each tuple is
+        one ``observe_many(*arrays)`` call (an int means ``observe``)."""
+        rng = np.random.default_rng(seed + 1)
+        spec = _warm_histogram(reservoir_size, start, seed)
+        fast = _warm_histogram(reservoir_size, start, seed)
+        expected_sum = spec.sum
+        for call in calls:
+            if isinstance(call, int):
+                value = float(rng.lognormal(-2.0, 1.0))
+                spec.observe(value)
+                fast.observe(value)
+                expected_sum += value
+            else:
+                arrays = [rng.lognormal(-2.0, 1.0, size=size)
+                          for size in call]
+                for arr in arrays:
+                    for value in arr.tolist():
+                        spec.observe(value)
+                    if arr.size:
+                        expected_sum += float(arr.sum())
+                fast.observe_many(*arrays)
+            assert _histogram_state(fast) == _histogram_state(spec)
+            assert fast.sum.hex() == expected_sum.hex()
+        return fast
+
+    @pytest.fixture
+    def replays(self, monkeypatch):
+        """The sizes the columnar replay was called with."""
+        sizes = []
+        replay = metrics._replay_slots
+
+        def spy(rng, count, n):
+            sizes.append(n)
+            return replay(rng, count, n)
+
+        monkeypatch.setattr(metrics, "_replay_slots", spy)
+        return sizes
+
+    @pytest.mark.parametrize("reservoir_size", [1, 7, 1024])
+    def test_large_folds_cross_powers_of_two(self, reservoir_size,
+                                             replays):
+        # 2**18 falls inside the first fold, 2**19 is far beyond.
+        fast = self._check(reservoir_size, 2 ** 18 - 6000,
+                           [(20000,), (16384,), (5000,)])
+        assert fast.count == 2 ** 18 - 6000 + 41384
+        assert replays == [20000, 16384, 5000]
+
+    def test_small_folds_stay_scalar(self, replays):
+        self._check(7, 2 ** 17, [(300,), (metrics._COLUMNAR_MIN - 1,)])
+        assert replays == []
+
+    @pytest.mark.parametrize("reservoir_size", [1, 7, 1024])
+    def test_multi_array_call(self, reservoir_size):
+        self._check(reservoir_size, 2 ** 17,
+                    [(300, 0, 4100, 17, 9000), (1, 2, 3), (16384,)])
+
+    def test_mixed_scalar_and_columnar_sequence(self):
+        self._check(7, 2 ** 17 + 3,
+                    [1, (250,), 1, (8192,), (40, 4096), 1, 1, (19999,)])
+
+    def test_fill_then_columnar_in_one_call(self):
+        # 1024 values fill the reservoir, the other 19k replay in bulk.
+        self._check(1024, 0, [(20000,)])
+
+    def test_multi_array_call_equals_one_call_per_array(self):
+        rng = np.random.default_rng(5)
+        arrays = [rng.lognormal(-2.0, 1.0, size=size)
+                  for size in (3000, 2500, 7000, 1)]
+        together = _warm_histogram(64, 2 ** 17, 5)
+        apart = _warm_histogram(64, 2 ** 17, 5)
+        together.observe_many(*arrays)
+        for arr in arrays:
+            apart.observe_many(arr)
+        assert _full_state(together) == _full_state(apart)
+
+    def test_counts_near_two_to_the_32_fall_back(self, replays):
+        # Draws past 2**32 take two words each: the scalar loop runs.
+        fast = self._check(16, 2 ** 32 - 3000, [(6000,), (5000,)])
+        assert fast.count > 2 ** 32
+        assert replays == []
+        # A fold ending just below 2**32 is still columnar (k = 32).
+        self._check(16, 2 ** 32 - 9000, [(8999,)])
+        assert replays == [8999]
+
+    @settings(max_examples=12, deadline=None)
+    @given(reservoir_size=st.sampled_from([1, 7, 1024]),
+           start=st.integers(min_value=2 ** 17, max_value=2 ** 21),
+           calls=st.lists(st.lists(st.integers(min_value=0,
+                                               max_value=20000),
+                                   min_size=1, max_size=3).map(tuple),
+                          min_size=1, max_size=3),
+           seed=st.integers(min_value=0, max_value=2 ** 16))
+    def test_any_fold_sequence(self, reservoir_size, start, calls, seed):
+        self._check(reservoir_size, start, calls, seed=seed)
 
 
 class TestMetricsRegistry(object):

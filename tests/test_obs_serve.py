@@ -8,7 +8,7 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.obs import Observability
-from repro.obs.export import parse_prometheus_text
+from repro.obs.export import parse_prometheus_text, prometheus_text
 from repro.obs.manifest import RunManifest, RunRegistry
 from repro.obs.serve import (
     ObsServer,
@@ -152,6 +152,22 @@ class TestRenderTail(object):
         block = render_tail(samples)
         assert block.splitlines()[0] == ("cells: 0 done (0 failed), "
                                          "4 in flight, 0 chunks requeued")
+
+    def test_cells_slower_than_300ms_estimate_from_ms_buckets(self):
+        # sweep_cell_wall_ms uses millisecond buckets; on the seconds
+        # ladder every cell past 300 ms landed in +Inf and read "300ms".
+        obs = Observability()
+        for index, wall_ms in enumerate(range(400, 2000, 16)):
+            obs.bus.emit("sweep.cell", 0.0, index=index, ok=True,
+                         wall_ms=float(wall_ms))
+        samples = parse_prometheus_text(prometheus_text(obs.registry))
+        line = render_tail(samples).splitlines()[1]
+        estimates = dict(part.split() for part in
+                         line[len("cell wall: "):].split("  "))
+        p50, p95, p99 = (float(estimates[tag][:-2])
+                         for tag in ("p50", "p95", "p99"))
+        assert 1000.0 <= p50 <= 1300.0
+        assert 1500.0 <= p95 <= p99 <= 2500.0
 
     def test_degrades_without_worker_series(self):
         samples = {("sweep_cells_total",): 3.0}

@@ -10,10 +10,13 @@ import asyncio
 
 import pytest
 
-from repro import Observability, SkyController, workload_by_name
+from repro import Observability, SkyController, build_sky, workload_by_name
 from repro.common.errors import ConfigurationError
 from repro.core.slo import default_slo_s
+from repro.obs import metrics as obs_metrics
+from repro.obs.metrics import Histogram
 from repro.sampling import CharacterizationBuilder
+from repro.serve import gateway as gateway_module
 from repro.serve import (
     AdmissionController,
     DiurnalArrivals,
@@ -297,3 +300,142 @@ class TestGateway(object):
         paced = make_gateway(seed=21, rate_rps=800.0,
                              config=config).run_sync(0.5)
         assert flat.aggregate_key() == paced.aggregate_key()
+
+
+# -- latency folds -------------------------------------------------------------
+SKY_ZONES = ("us-west-1a", "us-west-1b")
+
+
+def make_sky_gateway(seed=3, rate_rps=50000.0, config=None):
+    """A rig on two catalog zones, big enough that a report window
+    folds more latencies than the columnar reservoir replay needs."""
+    cloud = build_sky(seed=seed, aws_only=True)
+    account = cloud.create_account("serve", "aws")
+    controller = SkyController(cloud, account, list(SKY_ZONES),
+                               obs=Observability(), sampling_count=2)
+    for zone_id in SKY_ZONES:
+        builder = CharacterizationBuilder(zone_id)
+        builder.add_poll({key: pool.capacity
+                          for key, pool in cloud.zone(zone_id).pools.items()
+                          if pool.capacity > 0})
+        profile = builder.snapshot()
+        controller.store.put(profile)
+        controller.tracker.observe(profile)
+    return ServeGateway(controller, workload_by_name("sha1_hash"),
+                        PoissonArrivals(rate_rps, seed=seed),
+                        config or GatewayConfig())
+
+
+def record_flushes(gateway):
+    """Copies of every flush's served latencies, in flush order."""
+    flushes = []
+    observe = gateway._observe_latencies
+
+    def spy(latencies):
+        flushes.append(latencies.copy())
+        observe(latencies)
+
+    gateway._observe_latencies = spy
+    return flushes
+
+
+def histogram_state(histogram):
+    return (histogram.count, list(histogram.bucket_counts),
+            histogram.sum.hex(), histogram.min, histogram.max,
+            list(histogram._reservoir), histogram._rng.getstate())
+
+
+def spec_state(flushes):
+    """Each flush observed element by element as it happened; ``sum``
+    adds each flush's numpy sum, as per-flush ``observe_many`` did."""
+    spec = Histogram()
+    total = 0.0
+    for latencies in flushes:
+        for value in latencies.tolist():
+            spec.observe(value)
+        total += float(latencies.sum())
+    state = histogram_state(spec)
+    return state[:2] + (total.hex(),) + state[3:]
+
+
+@pytest.fixture
+def replays(monkeypatch):
+    """Sizes of the columnar reservoir replays a test triggers."""
+    sizes = []
+    replay = obs_metrics._replay_slots
+
+    def spy(rng, count, n):
+        sizes.append(n)
+        return replay(rng, count, n)
+
+    monkeypatch.setattr(obs_metrics, "_replay_slots", spy)
+    return sizes
+
+
+class TestLatencyFold(object):
+    """The gateway buffers served latencies and folds them at report
+    boundaries, at ``FOLD_VALUES``, and when a run ends; both latency
+    histograms must end exactly where per-flush observation would."""
+
+    @staticmethod
+    def assert_folded(gateway, flushes):
+        expected = spec_state(flushes)
+        report = gateway.report
+        assert histogram_state(report.histogram) == expected
+        registry = gateway.obs.registry.get("serve_latency_s")
+        assert histogram_state(registry) == expected
+        assert report.histogram.count == report.served
+        assert report.histogram.sum.hex() == \
+            float(report.latency_sum_s).hex()
+
+    def test_report_window_folds_match_the_spec(self, replays):
+        gateway = make_sky_gateway()
+        flushes = record_flushes(gateway)
+        report = gateway.run_sync(1.5)
+        assert report.served > 2 * obs_metrics._COLUMNAR_MIN
+        assert replays  # the window fold ran columnar
+        self.assert_folded(gateway, flushes)
+
+    def test_threshold_folds_match_the_spec(self, monkeypatch, replays):
+        monkeypatch.setattr(gateway_module, "FOLD_VALUES", 5000)
+        config = GatewayConfig(report_every_s=100.0)
+        gateway = make_sky_gateway(seed=4, config=config)
+        flushes = record_flushes(gateway)
+        gateway.run_sync(1.5)
+        assert len(replays) >= 4
+        self.assert_folded(gateway, flushes)
+
+    def test_drained_run_accounts_every_latency(self):
+        config = GatewayConfig(report_every_s=100.0)
+        gateway = make_sky_gateway(seed=5, config=config)
+        flushes = record_flushes(gateway)
+        tick = gateway._tick
+
+        def tick_then_drain(now):
+            tick(now)
+            if gateway.report.served > 3000:
+                gateway.request_drain()
+
+        gateway._tick = tick_then_drain
+        report = gateway.run_sync(60.0)
+        assert report.sim_seconds < 60.0
+        self.assert_folded(gateway, flushes)
+
+    def test_aborted_run_accounts_every_latency(self):
+        config = GatewayConfig(report_every_s=100.0)
+        gateway = make_sky_gateway(seed=6, config=config)
+        flushes = record_flushes(gateway)
+        dispatch = gateway.router.dispatch_batch
+        calls = []
+
+        def failing_dispatch(*args, **kwargs):
+            calls.append(1)
+            if len(calls) > 40:
+                raise RuntimeError("flush failed")
+            return dispatch(*args, **kwargs)
+
+        gateway.router.dispatch_batch = failing_dispatch
+        with pytest.raises(RuntimeError):
+            gateway.run_sync(5.0)
+        assert gateway.report.served > 0
+        self.assert_folded(gateway, flushes)
