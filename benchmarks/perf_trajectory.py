@@ -25,6 +25,7 @@ import argparse
 import contextlib
 import json
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -53,6 +54,9 @@ BATCH_10K = 10000
 BATCH_QUOTA = 200000
 REPEATS = 5
 SWEEP_REPEATS = 3
+#: Lanes of the pooled grid sweep: its fixed cost (fork server, worker
+#: start, pickling) is what sweep_grid24_pool_ms adds over the serial run.
+POOL_WORKERS = 2
 BATCH_REPEATS = 3
 #: The vectorized path must beat the looped executable spec by at least
 #: this factor at n=100k, or recording aborts (the fast path rotted).
@@ -66,8 +70,8 @@ SERVE_SCALAR_SIM_S = 0.5
 SERVE_REPEATS = 3
 MIN_SERVE_SPEEDUP = 5.0
 METRICS = ("poll_1000_us", "invoke_one_us", "sweep_grid24_ms",
-           "poll_100k_ms", "batch_invoke_10k_us", "cloud_build_ms",
-           "serve_sustained_rps", "serve_p99_ms")
+           "sweep_grid24_pool_ms", "poll_100k_ms", "batch_invoke_10k_us",
+           "cloud_build_ms", "serve_sustained_rps", "serve_p99_ms")
 #: Throughput metrics: bigger is better, and the normalized cost is
 #: value * calibration (a slow machine lowers the rate, so multiplying
 #: by its per-op cost cancels the machine out).
@@ -87,6 +91,22 @@ def best_of(fn, repeats=REPEATS):
         if elapsed < best:
             best = elapsed
     return best
+
+
+def median_of(fn, repeats):
+    """Median wall time of ``repeats`` timed calls after one untimed one.
+
+    For work whose cost is partly a per-call fixed start (the pooled
+    sweep): the median keeps that start in the number, where ``best_of``
+    would report the one luckiest call.
+    """
+    fn()  # warmup: starts the fork server the timed calls reuse
+    walls = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        walls.append(time.perf_counter() - start)
+    return statistics.median(walls)
 
 
 def calibration_us():
@@ -315,9 +335,12 @@ def measure():
             cloud.clock.advance(5.0)  # warm reuse on the next round
         assert executed == INVOKE_ITERS, executed
 
-    def sweep_loop():
+    def sweep_loop(workers=1):
         tasks = sweep_grid24_tasks()
-        results = SweepEngine(workers=1).run(tasks)
+        engine = SweepEngine(workers=workers)
+        results = engine.run(tasks)
+        assert engine.last_mode == ("pool" if workers > 1 else "serial"), \
+            engine.last_mode
         assert len(results) == len(tasks) == 24, len(results)
         for cell in results:
             assert cell.polls_run == tasks[0].max_polls, cell.polls_run
@@ -327,6 +350,9 @@ def measure():
         "invoke_one_us": best_of(invoke_loop) / INVOKE_ITERS * 1e6,
         "sweep_grid24_ms": best_of(sweep_loop,
                                    repeats=SWEEP_REPEATS) * 1e3,
+        "sweep_grid24_pool_ms": median_of(
+            lambda: sweep_loop(workers=POOL_WORKERS),
+            repeats=SWEEP_REPEATS) * 1e3,
         "calibration_us": calibration_us(),
     }
     numbers.update(measure_batch())
@@ -384,6 +410,7 @@ def cmd_record(args):
                          note=args.note)
     print("recorded {label} @ {commit}: poll_1000={poll:.2f}us "
           "invoke_one={invoke:.2f}us sweep_grid24={sweep:.1f}ms "
+          "(pool {pool:.1f}ms) "
           "poll_100k={batch:.2f}ms (loop {loop:.1f}ms, {speed:.1f}x) "
           "batch_10k={b10k:.1f}us build={build:.2f}ms "
           "serve={srv:.0f}rps (scalar {scalar:.0f}rps, {srvx:.1f}x) "
@@ -392,6 +419,7 @@ def cmd_record(args):
               poll=numbers["poll_1000_us"],
               invoke=numbers["invoke_one_us"],
               sweep=numbers["sweep_grid24_ms"],
+              pool=numbers["sweep_grid24_pool_ms"],
               batch=numbers["poll_100k_ms"],
               loop=numbers["poll_100k_loop_ms"],
               speed=numbers["poll_100k_loop_ms"]

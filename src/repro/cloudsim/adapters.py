@@ -35,19 +35,8 @@ from operator import attrgetter
 
 import numpy as np
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, positive_count
 from repro.common.rng import derive_rng
-
-
-def _positive_count(name, value):
-    """``value`` as a positive int, refusing fractions: a quota of 1000.7
-    or 0.5 requests is a caller bug, not 1000 or 0."""
-    count = int(value)
-    if count != value or count <= 0:
-        raise ConfigurationError(
-            "{} must be a positive integral count, got {!r}".format(
-                name, value))
-    return count
 
 
 # -- cold-start distributions --------------------------------------------------
@@ -221,7 +210,7 @@ class ContainerReuseKeepAlive(object):
         if idle_ttl <= 0:
             raise ConfigurationError("idle_ttl must be positive")
         self.idle_ttl = float(idle_ttl)
-        self.min_instances = _positive_count("min_instances", min_instances)
+        self.min_instances = positive_count("min_instances", min_instances)
 
     def spec(self):
         return ("container-reuse", self.idle_ttl, self.min_instances)
@@ -281,7 +270,7 @@ class HardCapQuota(QuotaModel):
     ceiling = property(attrgetter("cap"))
 
     def __init__(self, cap):
-        self.cap = _positive_count("quota cap", cap)
+        self.cap = positive_count("quota cap", cap)
 
     def admit(self, state, n_requests, now):
         cap = self.cap
@@ -306,8 +295,8 @@ class BurstThenThrottleQuota(QuotaModel):
         if burst <= 0 or sustained <= 0 or window_s <= 0:
             raise ConfigurationError(
                 "burst, sustained, and window_s must be positive")
-        self.burst = _positive_count("burst", burst)
-        self.sustained = _positive_count("sustained", sustained)
+        self.burst = positive_count("burst", burst)
+        self.sustained = positive_count("sustained", sustained)
         self.window_s = float(window_s)
 
     def new_state(self):
@@ -346,7 +335,7 @@ class TokenRefillQuota(QuotaModel):
         if capacity <= 0 or refill_per_s <= 0:
             raise ConfigurationError(
                 "capacity and refill_per_s must be positive")
-        self.capacity = _positive_count("capacity", capacity)
+        self.capacity = positive_count("capacity", capacity)
         self.refill_per_s = float(refill_per_s)
 
     def new_state(self):

@@ -269,9 +269,9 @@ def zone_recipe(zone_id, spec, provider):
     The recipe is everything :func:`zone_from_recipe` needs to construct
     the zone — pool sizes, affinities, scaling envelope, drift class — as
     plain tuples/dicts.  Recipes are picklable and immutable in practice,
-    which is what lets the sweep engine compute the full catalog's plan
-    once and share it across workers (:mod:`repro.cloudsim.shared_catalog`)
-    instead of re-deriving it from the spec tables per cell.
+    which is what lets each process compute the full catalog's plan once
+    (:mod:`repro.cloudsim.shared_catalog`) instead of re-deriving it from
+    the spec tables per cell.
     """
     pools = []
     slots_per_host = provider.slots_per_host

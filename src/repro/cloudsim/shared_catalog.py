@@ -1,4 +1,4 @@
-"""Build the region catalog's plan once and share it across sweep workers.
+"""Build the region catalog's plan once per process and install from it.
 
 :meth:`~repro.engine.spec.CloudSpec.build` used to re-derive every zone's
 build parameters from the catalog spec tables for every grid cell — in a
@@ -16,16 +16,10 @@ into two phases:
    as :func:`~repro.cloudsim.catalog.install_catalog` (which remains the
    executable reference; an equivalence test pins the two together).
 
-For process-pool sweeps, :class:`CatalogShare` exports the pickled plan
-into :mod:`multiprocessing.shared_memory`; the pool's initializer
-(:func:`attach_worker`) maps it read-only, unpickles once per worker,
-and every subsequent :meth:`CloudSpec.build` in that worker reuses the
-attached plan — zero per-cell table work and one catalog build per
-process tree instead of one per worker spawn.  Everything degrades
-gracefully: no shared memory → each worker memoizes its own plan.
+Each sweep worker memoizes its own plan on its first
+:meth:`CloudSpec.build`; every later build in that worker reuses it, so
+the spec tables are resolved once per process, not once per cell.
 """
-
-import pickle
 
 from repro.cloudsim.catalog import (
     AWS_REGION_SPECS,
@@ -39,16 +33,8 @@ from repro.cloudsim.network import GeoPoint
 from repro.cloudsim.provider import provider_by_name
 from repro.cloudsim.region import Region
 
-try:  # gated: absent on platforms without POSIX/Windows shared memory
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover - exercised via the None path
-    _shared_memory = None
-
 #: Memoized full-catalog plan for this process.
 _PLAN = None
-
-#: Plan attached from another process's shared-memory export (workers).
-_ATTACHED_PLAN = None
 
 
 def catalog_plan():
@@ -102,13 +88,6 @@ def catalog_plan():
     return _PLAN
 
 
-def active_plan():
-    """The plan builds should use: the attached share, else the local memo."""
-    if _ATTACHED_PLAN is not None:
-        return _ATTACHED_PLAN
-    return catalog_plan()
-
-
 def install_plan(cloud, plan, aws_only=False, regions=None):
     """Install ``plan``'s regions into ``cloud``.
 
@@ -134,72 +113,3 @@ def install_plan(cloud, plan, aws_only=False, regions=None):
         cloud.add_region(region)
     return cloud
 
-
-class CatalogShare(object):
-    """A pickled catalog plan living in OS shared memory.
-
-    The parent exports once before spawning the pool, passes
-    ``(share.name, share.size)`` to the pool initializer, and disposes
-    after the pool shuts down.  Workers attach by name, unpickle once,
-    and close their mapping immediately — the plan itself lives on as
-    ordinary objects in the worker.
-    """
-
-    __slots__ = ("_shm", "size")
-
-    def __init__(self, shm, size):
-        self._shm = shm
-        self.size = size
-
-    @property
-    def name(self):
-        return self._shm.name
-
-    @classmethod
-    def export(cls):
-        """Export the memoized plan; None when shared memory is unusable."""
-        if _shared_memory is None:
-            return None
-        payload = pickle.dumps(catalog_plan(),
-                               protocol=pickle.HIGHEST_PROTOCOL)
-        try:
-            shm = _shared_memory.SharedMemory(create=True,
-                                              size=len(payload))
-        except (OSError, ValueError):
-            return None
-        shm.buf[:len(payload)] = payload
-        return cls(shm, len(payload))
-
-    def dispose(self):
-        """Close the mapping and unlink the segment (parent side)."""
-        try:
-            self._shm.close()
-            self._shm.unlink()
-        except (FileNotFoundError, OSError):  # pragma: no cover
-            pass
-
-
-def attach_worker(name, size):
-    """Pool-initializer: attach the parent's exported plan in this worker.
-
-    Never raises — a worker that cannot attach (segment gone, platform
-    quirk) silently falls back to memoizing its own plan, which is
-    slower but identical.
-    """
-    global _ATTACHED_PLAN
-    if _shared_memory is None:
-        return
-    try:
-        shm = _shared_memory.SharedMemory(name=name)
-        try:
-            _ATTACHED_PLAN = pickle.loads(bytes(shm.buf[:size]))
-        finally:
-            shm.close()
-    except Exception:  # noqa: BLE001 — degrade, never kill the worker
-        _ATTACHED_PLAN = None
-
-
-def detach_worker():
-    """Drop an attached plan (tests; no-op when nothing is attached)."""
-    global _ATTACHED_PLAN
-    _ATTACHED_PLAN = None

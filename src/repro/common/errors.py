@@ -15,6 +15,17 @@ class ConfigurationError(ReproError):
     """A component was constructed or configured with invalid parameters."""
 
 
+def positive_count(name, value):
+    """``value`` as a positive int, refusing fractions: a quota of 1000.7
+    or 0.5 requests is a caller bug, not 1000 or 0."""
+    count = int(value)
+    if count != value or count <= 0:
+        raise ConfigurationError(
+            "{} must be a positive integral count, got {!r}".format(
+                name, value))
+    return count
+
+
 class UnknownRegionError(ConfigurationError):
     """A region name does not exist in the provider catalog."""
 

@@ -27,6 +27,7 @@ single sim time to stamp).
 """
 
 import os
+import threading
 import time
 
 from repro.common.errors import (
@@ -34,11 +35,46 @@ from repro.common.errors import (
     SweepError,
     SweepFailure,
     TransportError,
+    positive_count,
 )
 from repro.engine.tasks import run_task
 
 #: Executor backends, in degradation order.
 BACKENDS = ("local", "remote")
+
+#: Held while ``os.environ`` carries the fork server's PYTHONPATH.
+_FORKSERVER_LOCK = threading.Lock()
+
+
+def _start_forkserver(context):
+    """Start the fork server with ``repro`` already imported.
+
+    Pool workers then fork with the package loaded instead of importing
+    it again when they unpickle their first chunk.  CPython 3.10-3.13's
+    fork server ignores the ``sys_path`` it is handed and swallows the
+    preload's ImportError, so it can only find ``repro`` through
+    ``PYTHONPATH``: point that at the package root this process
+    imported, for the duration of the start.  A fork server that is
+    already running keeps whatever it preloaded; results are the same
+    either way, only start-up differs.
+    """
+    import multiprocessing.forkserver
+
+    import repro
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    with _FORKSERVER_LOCK:
+        saved = os.environ.get("PYTHONPATH")
+        os.environ["PYTHONPATH"] = (root if not saved
+                                    else root + os.pathsep + saved)
+        try:
+            context.set_forkserver_preload(["repro"])
+            multiprocessing.forkserver.ensure_running()
+        finally:
+            if saved is None:
+                os.environ.pop("PYTHONPATH", None)
+            else:
+                os.environ["PYTHONPATH"] = saved
 
 
 def _run_chunk(chunk):
@@ -160,9 +196,11 @@ class SweepEngine(object):
                  max_requeues=1, telemetry=False, auth_token=None,
                  journal=None, resume=None, chunk_hook=None,
                  worker_log_dir=None, lazy=False):
-        self.workers = max(1, int(workers))
-        if chunk_size is not None and int(chunk_size) < 1:
-            raise ValueError("chunk_size must be >= 1")
+        self.workers = positive_count("workers", workers)
+        if chunk_size is not None and (int(chunk_size) != chunk_size
+                                       or chunk_size < 1):
+            raise ValueError("chunk_size must be an integer >= 1, got "
+                             "{!r}".format(chunk_size))
         self.chunk_size = int(chunk_size) if chunk_size else None
         self.obs = obs
         self.start_method = start_method
@@ -215,7 +253,6 @@ class SweepEngine(object):
         self.last_mode = None
         self._merge = None
         self._journal = None
-        self._catalog_share = None
 
     # -- observability helpers ------------------------------------------------
     def _emit(self, name, started, **fields):
@@ -303,9 +340,6 @@ class SweepEngine(object):
             journal, self._journal = self._journal, None
             if journal is not None:
                 journal.close()
-            share, self._catalog_share = self._catalog_share, None
-            if share is not None:
-                share.dispose()
 
     # -- journal / resume -----------------------------------------------------
     def _open_journal(self, tasks, lanes, grid_hash, started):
@@ -422,27 +456,13 @@ class SweepEngine(object):
             import concurrent.futures
             import multiprocessing
 
-            from repro.cloudsim.shared_catalog import (
-                CatalogShare,
-                attach_worker,
-            )
-
             method = self._resolve_start_method()
             context = (multiprocessing.get_context(method)
                        if method is not None else None)
-            # Export the catalog plan once; workers attach it in their
-            # initializer so CloudSpec.build never re-derives the spec
-            # tables.  export() returning None (no shared memory on this
-            # platform) simply skips the initializer — workers then
-            # memoize their own plan, slower but identical.
-            share = CatalogShare.export()
-            self._catalog_share = share
-            initializer, initargs = ((attach_worker, (share.name,
-                                                      share.size))
-                                     if share is not None else (None, ()))
+            if method == "forkserver":
+                _start_forkserver(context)
             return concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers, mp_context=context,
-                initializer=initializer, initargs=initargs)
+                max_workers=workers, mp_context=context)
         except (ImportError, NotImplementedError, OSError, ValueError):
             return None
 

@@ -17,7 +17,7 @@ from repro.cloudsim.catalog import (
     region_name_of_zone,
 )
 from repro.cloudsim.cloud import Cloud
-from repro.cloudsim.shared_catalog import active_plan, install_plan
+from repro.cloudsim.shared_catalog import catalog_plan, install_plan
 from repro.obs.ship import current_capture
 
 
@@ -70,15 +70,13 @@ class CloudSpec(object):
         the capture bus is attached so the cell's events are buffered for
         shipping — task code needs no telemetry-aware parameters.
 
-        Zones come from the shared/memoized catalog *plan*
-        (:mod:`repro.cloudsim.shared_catalog`): in a pool worker this is
-        the parent's shared-memory export, elsewhere a once-per-process
-        memo — either way the spec tables are resolved once, not per
-        cell, and the result is identical to
-        :func:`~repro.cloudsim.catalog.install_catalog`.
+        Zones come from the memoized catalog *plan*
+        (:mod:`repro.cloudsim.shared_catalog`), so the spec tables are
+        resolved once per process, not per cell, and the result is
+        identical to :func:`~repro.cloudsim.catalog.install_catalog`.
         """
         cloud = Cloud(seed=self.seed)
-        install_plan(cloud, active_plan(), aws_only=self.aws_only,
+        install_plan(cloud, catalog_plan(), aws_only=self.aws_only,
                      regions=self.regions)
         capture = current_capture()
         if capture is not None:

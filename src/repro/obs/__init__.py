@@ -36,7 +36,6 @@ from repro.obs.async_export import (
 )
 from repro.obs.ship import TelemetryCapture, TelemetryMerge, current_capture
 from repro.obs.manifest import DEFAULT_REGISTRY, RunManifest, RunRegistry
-from repro.obs.serve import ObsServer, render_tail, scrape
 
 #: The bridge's compiled lookup table (see :mod:`repro.obs.catalog`).
 _PLANS = compile_catalog()
@@ -192,3 +191,17 @@ __all__ = [
     "scrape",
     "render_tail",
 ]
+
+#: Served from :mod:`repro.obs.serve` on first access: it pulls in the
+#: stdlib HTTP/TLS stack, which ``import repro`` (every sweep worker)
+#: should not pay for.
+_LAZY_SERVE = ("ObsServer", "render_tail", "scrape")
+
+
+def __getattr__(name):
+    if name in _LAZY_SERVE:
+        from repro.obs import serve
+
+        return getattr(serve, name)
+    raise AttributeError("module {!r} has no attribute {!r}".format(
+        __name__, name))

@@ -195,6 +195,12 @@ class TestSweep(object):
         with open(serial_json) as f1, open(pooled_json) as f2:
             assert f1.read() == f2.read()
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_non_positive_workers_rejected(self, workers):
+        from repro.common.errors import ConfigurationError
+        with pytest.raises(ConfigurationError):
+            run_cli(*self._campaign_args("--workers", workers))
+
     def test_progressive_sweep(self):
         code, output = run_cli("--seed", "2", "sweep", "progressive",
                                "--zones", "us-west-1a", "--seeds", "0",

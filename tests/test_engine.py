@@ -6,10 +6,16 @@ byte-identical to the serial reference executor.
 """
 
 import json
+import multiprocessing
+import os
 import pickle
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import repro
 from repro import reporting
 from repro.common.errors import (
     ConfigurationError,
@@ -300,12 +306,25 @@ class TestEngineMechanics(object):
         with pytest.raises(ValueError):
             SweepEngine(workers=2, chunk_size=0)
 
+    def test_fractional_chunk_size_rejected(self):
+        with pytest.raises(ValueError):
+            SweepEngine(workers=2, chunk_size=2.5)
+
+    @pytest.mark.parametrize("workers", [0, -3, 2.7, 0.5])
+    def test_bad_worker_count_rejected(self, workers):
+        # Never clamped to serial or truncated to fewer lanes.
+        with pytest.raises(ConfigurationError):
+            SweepEngine(workers=workers)
+
+    def test_integral_worker_count_accepted(self):
+        assert SweepEngine(workers=2.0).workers == 2
+        assert SweepEngine(workers=2, chunk_size=3.0).chunk_size == 3
+
 
 # -- start-method selection -----------------------------------------------------
 
 class TestStartMethod(object):
     def test_forkserver_preferred_when_available(self):
-        import multiprocessing
         engine = SweepEngine(workers=2)
         resolved = engine._resolve_start_method()
         available = multiprocessing.get_all_start_methods()
@@ -332,6 +351,169 @@ class TestStartMethod(object):
         SweepEngine(workers=1, obs=obs).run([_tiny_campaign_task()])
         start = obs.recorder.events("sweep.start")[0]
         assert start.fields["start_method"] == "serial"
+
+
+# -- the preloaded fork server ------------------------------------------------
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+
+#: Runs in a fresh interpreter with PYTHONPATH unset, putting ``src`` on
+#: ``sys.path`` by hand as perfbench does, and prints a JSON report.  Pool
+#: workers re-run this main module before they unpickle any work, so its
+#: first line records whether the fork server had already imported repro.
+SWEEP_SCRIPT = textwrap.dedent("""\
+    import sys
+    PRELOADED = "repro" in sys.modules
+
+    import json, os, pickle
+    sys.path.insert(0, sys.argv[1])
+
+    import repro
+    from repro.engine import CampaignTask, CloudSpec, SweepEngine, SweepTask
+
+
+    def _server_threads():
+        # Workers fork from the fork server, so it is their parent.
+        try:
+            with open("/proc/{}/status".format(os.getppid())) as status:
+                for line in status:
+                    if line.startswith("Threads:"):
+                        return int(line.split()[1])
+        except OSError:
+            return None
+
+
+    class ProbeTask(SweepTask):
+        kind = "probe"
+
+        def __init__(self, seed):
+            super().__init__(CloudSpec(seed=seed))
+
+        def run(self):
+            return {"preloaded": PRELOADED, "repro": repro.__file__,
+                    "server_threads": _server_threads()}
+
+
+    def cells():
+        return [CampaignTask(CloudSpec.for_zones(["us-west-1a"], seed=s),
+                             "us-west-1a", endpoints=3, n_requests=150,
+                             max_polls=2) for s in range(3)]
+
+
+    def main(mode):
+        report = {"repro": repro.__file__}
+        if mode == "unpreloaded":
+            import multiprocessing.forkserver
+            multiprocessing.forkserver.set_forkserver_preload([])
+            multiprocessing.forkserver.ensure_running()
+            serial = [pickle.dumps(r)
+                      for r in SweepEngine(workers=1).run(cells())]
+            report["equal"] = {}
+            for method in ("forkserver", "fork", "spawn"):
+                pooled = SweepEngine(workers=2, start_method=method)
+                report["equal"][method] = [
+                    pickle.dumps(r) for r in pooled.run(cells())] == serial
+        environ = dict(os.environ)
+        engine = SweepEngine(workers=2, chunk_size=1)
+        report["probes"] = engine.run([ProbeTask(s) for s in range(2)])
+        report["mode"] = engine.last_mode
+        report["environ_kept"] = dict(os.environ) == environ
+        json.dump(report, sys.stdout)
+
+
+    if __name__ == "__main__":
+        main(sys.argv[2])
+    """)
+
+
+def _probe_sweep(tmp_path, mode, *flags):
+    """Run SWEEP_SCRIPT in a fresh interpreter; returns (report, stderr)."""
+    (tmp_path / "sweep_probe.py").write_text(SWEEP_SCRIPT)
+    env = {key: value for key, value in os.environ.items()
+           if key != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable] + list(flags) + ["sweep_probe.py", SRC, mode],
+        cwd=str(tmp_path), env=env, capture_output=True, text=True,
+        timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout), done.stderr
+
+
+needs_forkserver = pytest.mark.skipif(
+    "forkserver" not in multiprocessing.get_all_start_methods(),
+    reason="no forkserver start method on this platform")
+
+
+@needs_forkserver
+class TestForkserverPreload(object):
+    def test_workers_fork_with_repro_loaded_without_pythonpath(self,
+                                                               tmp_path):
+        report, _ = _probe_sweep(tmp_path, "preload")
+        assert report["mode"] == "pool"
+        assert report["environ_kept"]
+        for probe in report["probes"]:
+            assert probe["preloaded"]
+            assert probe["repro"] == report["repro"]
+
+    def test_unpreloaded_server_and_other_methods_match_serial(self,
+                                                               tmp_path):
+        report, _ = _probe_sweep(tmp_path, "unpreloaded")
+        assert report["equal"] == {"forkserver": True, "fork": True,
+                                   "spawn": True}
+        # The sweep went through the server started without the
+        # preload: slower, same results.
+        assert report["mode"] == "pool"
+        assert not any(probe["preloaded"] for probe in report["probes"])
+
+    def test_pool_runs_with_deprecation_warnings_as_errors(self, tmp_path):
+        # Python 3.12 warns when a multi-threaded process forks.  The
+        # preloaded server holds numpy, whose OpenBLAS stops its thread
+        # pool before every fork, so the server forks single-threaded.
+        report, stderr = _probe_sweep(tmp_path, "preload",
+                                      "-W", "error::DeprecationWarning")
+        assert report["mode"] == "pool"
+        assert "DeprecationWarning" not in stderr
+        for probe in report["probes"]:
+            assert probe["preloaded"]
+            assert probe["server_threads"] in (None, 1)
+
+    def test_environ_unchanged_after_run(self, monkeypatch):
+        import multiprocessing.forkserver
+
+        seen = []
+        start = multiprocessing.forkserver.ensure_running
+
+        def recording_start():
+            seen.append(os.environ["PYTHONPATH"])
+            start()
+
+        monkeypatch.setattr(multiprocessing.forkserver, "ensure_running",
+                            recording_start)
+        environ = dict(os.environ)
+        engine = SweepEngine(workers=2)
+        engine.run([_tiny_campaign_task(s) for s in (0, 1)])
+        assert engine.last_mode == "pool"
+        assert dict(os.environ) == environ
+        assert seen and seen[0].split(os.pathsep)[0] == SRC
+
+    def test_environ_restored_when_pool_start_fails(self, monkeypatch):
+        import multiprocessing.forkserver
+
+        def failing_start():
+            raise OSError("no fork server today")
+
+        monkeypatch.setattr(multiprocessing.forkserver, "ensure_running",
+                            failing_start)
+        for pythonpath in (None, "/somewhere/else"):
+            if pythonpath is None:
+                monkeypatch.delenv("PYTHONPATH", raising=False)
+            else:
+                monkeypatch.setenv("PYTHONPATH", pythonpath)
+            environ = dict(os.environ)
+            engine = SweepEngine(workers=2)
+            engine.run([_tiny_campaign_task(s) for s in (0, 1)])
+            assert engine.last_mode == "serial-fallback"
+            assert dict(os.environ) == environ
 
 
 # -- chunk-loss vs task-bug failures --------------------------------------------

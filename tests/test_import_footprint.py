@@ -1,8 +1,9 @@
 """``import repro`` stays light: heavy optional libraries load on use.
 
 Sweep workers and every CLI run import the package first, so a
-module-level import of networkx (graph workloads) or scipy (estimators,
-similarity) costs every process its memory and start-up time.
+module-level import of networkx (graph workloads), scipy (estimators,
+similarity) or the stdlib HTTP/TLS stack (``repro.obs.serve``) costs
+every process its memory and start-up time.
 """
 
 import os
@@ -15,7 +16,9 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src")
 
 
-@pytest.mark.parametrize("module", ["networkx", "scipy"])
+@pytest.mark.parametrize("module", ["networkx", "scipy", "ssl",
+                                    "http.server", "http.client",
+                                    "urllib.request"])
 def test_import_repro_does_not_load(module):
     env = dict(os.environ, PYTHONPATH=SRC)
     loaded = subprocess.run(
@@ -23,6 +26,14 @@ def test_import_repro_does_not_load(module):
          "import sys, repro; print({!r} in sys.modules)".format(module)],
         env=env, capture_output=True, text=True, check=True).stdout.strip()
     assert loaded == "False"
+
+
+def test_obs_serve_names_still_import():
+    from repro.obs import ObsServer, render_tail, scrape
+    from repro.obs import serve
+
+    assert (ObsServer, render_tail, scrape) == \
+        (serve.ObsServer, serve.render_tail, serve.scrape)
 
 
 def test_graph_workloads_still_run():

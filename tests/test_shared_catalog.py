@@ -1,25 +1,15 @@
 """The shared catalog plan (``repro.cloudsim.shared_catalog``).
 
 ``install_catalog`` stays the executable reference; these tests pin the
-plan-based build (memoized, shareable across sweep workers) to it —
-same regions, same zones, same pool/scaling parameters, same seeded
-outcomes — and exercise the shared-memory export/attach round trip.
+plan-based build (memoized once per process) to it — same regions, same
+zones, same pool/scaling parameters, same seeded outcomes.
 """
-
-import pickle
 
 import pytest
 
 from repro.cloudsim import Cloud
 from repro.cloudsim.catalog import install_catalog
-from repro.cloudsim.shared_catalog import (
-    CatalogShare,
-    active_plan,
-    attach_worker,
-    catalog_plan,
-    detach_worker,
-    install_plan,
-)
+from repro.cloudsim.shared_catalog import catalog_plan, install_plan
 from repro.engine import CampaignTask, CloudSpec, SweepEngine
 
 
@@ -77,37 +67,6 @@ def test_seeded_outcomes_identical_across_construction_paths():
     assert polls[0] == polls[1]
 
 
-class TestCatalogShare(object):
-    def test_export_attach_round_trip(self):
-        share = CatalogShare.export()
-        if share is None:
-            pytest.skip("no usable shared memory on this platform")
-        try:
-            detach_worker()
-            attach_worker(share.name, share.size)
-            # The attached plan is pickle-equal to the local one and is
-            # what builds use from now on in this "worker".
-            assert pickle.dumps(active_plan()) == \
-                pickle.dumps(catalog_plan())
-            assert active_plan() is not catalog_plan()
-        finally:
-            detach_worker()
-            share.dispose()
-        assert active_plan() is catalog_plan()
-
-    def test_attach_missing_segment_degrades_silently(self):
-        detach_worker()
-        attach_worker("repro-no-such-segment", 128)
-        assert active_plan() is catalog_plan()
-
-    def test_dispose_is_idempotent(self):
-        share = CatalogShare.export()
-        if share is None:
-            pytest.skip("no usable shared memory on this platform")
-        share.dispose()
-        share.dispose()
-
-
 class TestCloudSpecBuild(object):
     def test_build_uses_active_plan(self):
         built = CloudSpec(seed=5, aws_only=True).build()
@@ -129,11 +88,11 @@ class TestEngineIntegration(object):
                                  "us-west-1a", endpoints=3, n_requests=150,
                                  max_polls=2) for seed in range(3)]
 
+        # Each pool worker memoizes its own plan; the cells must not tell
+        # it apart from the serial run's.
         serial = SweepEngine(workers=1).run(tasks())
         engine = SweepEngine(workers=2)
         pooled = engine.run(tasks())
-        # The share is created for the pool and disposed by run()'s
-        # cleanup — a leaked segment would survive here.
-        assert engine._catalog_share is None
+        assert engine.last_mode == "pool"
         assert [r.ground_truth().shares() for r in pooled] == \
             [r.ground_truth().shares() for r in serial]
