@@ -35,7 +35,11 @@ from operator import attrgetter
 
 import numpy as np
 
-from repro.common.errors import ConfigurationError, positive_count
+from repro.common.errors import (
+    ConfigurationError,
+    non_negative_count,
+    positive_count,
+)
 from repro.common.rng import derive_rng
 
 
@@ -381,12 +385,12 @@ class PoolScalingRule(object):
                  surge_floor=256, surge_divisor=12):
         if not 0 < pressure_threshold <= 1:
             raise ConfigurationError("pressure_threshold must be in (0, 1]")
-        if slots_per_minute < 0 or surge_floor < 0 or surge_divisor <= 0:
+        if not 0 <= slots_per_minute < float("inf"):
             raise ConfigurationError("invalid scaling rule parameters")
         self.pressure_threshold = pressure_threshold
         self.slots_per_minute = slots_per_minute
-        self.surge_floor = int(surge_floor)
-        self.surge_divisor = int(surge_divisor)
+        self.surge_floor = non_negative_count("surge_floor", surge_floor)
+        self.surge_divisor = positive_count("surge_divisor", surge_divisor)
 
     def recipe(self, slots):
         """The ``(pressure, slots/min, max_surge)`` recipe tuple."""

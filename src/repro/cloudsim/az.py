@@ -29,7 +29,11 @@ makes rare low-affinity hardware surface only late in a campaign.
 
 import math
 
-from repro.common.errors import ConfigurationError, SaturationError
+from repro.common.errors import (
+    ConfigurationError,
+    SaturationError,
+    non_negative_count,
+)
 from repro.common.distributions import CategoricalDistribution
 from repro.common.ids import make_id_factory
 from repro.common.rng import derive_rng
@@ -51,9 +55,14 @@ class ScalingPolicy(object):
                  max_surge_slots=2048):
         if not 0 < pressure_threshold <= 1:
             raise ConfigurationError("pressure_threshold must be in (0, 1]")
+        if not 0 <= slots_per_minute < float("inf"):
+            raise ConfigurationError(
+                "slots_per_minute must be non-negative and finite, got "
+                "{!r}".format(slots_per_minute))
         self.pressure_threshold = float(pressure_threshold)
         self.slots_per_minute = float(slots_per_minute)
-        self.max_surge_slots = int(max_surge_slots)
+        self.max_surge_slots = non_negative_count("max_surge_slots",
+                                                  max_surge_slots)
 
 
 class PlacementResult(object):
@@ -108,6 +117,9 @@ class AvailabilityZone(object):
         keys = [p.cpu_key for p in pools]
         if len(set(keys)) != len(keys):
             raise ConfigurationError("duplicate CPU pools in zone")
+        if not keepalive >= 0:
+            raise ConfigurationError(
+                "keepalive must be non-negative, got {!r}".format(keepalive))
         self.zone_id = zone_id
         self.pools = {p.cpu_key: p for p in pools}
         self.clock = clock
@@ -123,7 +135,7 @@ class AvailabilityZone(object):
             pool.on_release = self._bucket_released
         self._last_scale_check = clock.now
         self._surge_slots_added = 0
-        self._base_shares = self.cpu_slot_shares()
+        self._base_slots = self._slot_snapshot()
         self._drift = None
         self._background = None
         self._preempt = None
@@ -226,14 +238,18 @@ class AvailabilityZone(object):
 
         ``force_new=True`` skips warm reuse entirely — the batch-path
         analogue of :meth:`invoke_one`'s escape hatch, driven by
-        cold-start-storm fault injection.  Skipping the warm-claim loop
+        cold-start-storm fault injection.  Skipping the warm claims
         consumes no randomness, so the placement draw sequence is
         unchanged.
 
-        The batch invocation core: demand is resolved *columnarly* — one
-        warm claim per pool (in affinity order) and a single host-granular
-        multinomial draw for the new-FI split — so cost scales with the
-        zone's pool count, never with ``n_requests``.
+        The batch invocation core is one *zone pass* (see
+        :meth:`_expire_and_scale` and :meth:`_place_new_fis`): lapsed
+        keep-alives are released and occupancy summed once for the
+        scaling arm, warm FIs of this deployment are claimed and the
+        free/weight vector built in one walk in affinity order, a single
+        host-granular multinomial draw splits the new FIs, and each pool
+        that receives some admits them as one bucket.  Cost scales with
+        the zone's pool count, never with ``n_requests``.
         :meth:`~repro.cloudsim.Cloud.poll_batch` builds its per-request
         duration/billing/cold-start layer on top of the
         :class:`PlacementResult` this returns.
@@ -243,7 +259,7 @@ class AvailabilityZone(object):
         ``n * min(1, duration / window)``; the remaining requests reuse FIs
         sequentially within the batch.
         """
-        now = self._now(now)
+        now = self.clock.now if now is None else float(now)
         if n_requests <= 0:
             raise ConfigurationError("n_requests must be positive")
         if duration <= 0:
@@ -251,41 +267,26 @@ class AvailabilityZone(object):
         self._apply_processes(now)
         self._expire_and_scale(now)
 
-        if window <= 0:
-            unique_needed = n_requests
+        if window <= 0 or duration >= window:
+            unique_needed = n_requests  # every request holds its own FI
         else:
             unique_needed = max(
-                1, int(math.ceil(n_requests * min(1.0, duration / window))))
-        requests_per_fi = n_requests / float(unique_needed)
-
-        # Warm FIs of this deployment absorb demand first.
-        reused_counts = {}
-        remaining = unique_needed
-        if not force_new:
-            for pool in self._pools_by_affinity():
-                if remaining <= 0:
-                    break
-                if not pool._warm.get(deployment):
-                    continue  # no (live or stale) buckets for deployment
-                claimed = pool.claim_warm(deployment, remaining, now,
-                                          duration, self.keepalive)
-                if claimed:
-                    reused_counts[pool.cpu_key] = claimed
-                    remaining -= claimed
-
-        new_counts = self._place_new_fis(deployment, remaining, now, duration)
+                1, int(math.ceil(n_requests * (duration / window))))
+        reused_counts, new_counts = self._place_new_fis(
+            deployment, unique_needed, now, duration, claim=not force_new)
         new_total = sum(new_counts.values())
-        reused_total = sum(reused_counts.values()) if reused_counts else 0
-        got_fis = reused_total + new_total
-        served = min(n_requests, int(round(got_fis * requests_per_fi)))
-        failed = n_requests - served
-
         if reused_counts:
+            reused_total = sum(reused_counts.values())
             fi_cpu_counts = dict(reused_counts)
             for key, count in new_counts.items():
                 fi_cpu_counts[key] = fi_cpu_counts.get(key, 0) + count
         else:
+            reused_total = 0
             fi_cpu_counts = new_counts  # _apportion never mutates weights
+        got_fis = reused_total + new_total
+        served = min(n_requests, int(round(
+            got_fis * (n_requests / float(unique_needed)))))
+        failed = n_requests - served
         request_cpu_counts = _apportion(served, fi_cpu_counts)
 
         bus = self._bus
@@ -342,8 +343,8 @@ class AvailabilityZone(object):
                                self.keepalive)
                 return warm, True
 
-        new_counts = self._place_new_fis(deployment, 1, now, duration=0.0,
-                                         materialize=False)
+        _, new_counts = self._place_new_fis(deployment, 1, now, 0.0,
+                                            claim=False, materialize=False)
         if not new_counts:
             bus = self._bus
             if bus.enabled:
@@ -394,27 +395,29 @@ class AvailabilityZone(object):
         ``total_hosts`` overrides the zone's host total (pool growth/shrink).
         """
         now = self._now(now)
-        slots_per_host = self._typical_slots_per_host()
+        pools = self.pools
         if total_hosts is None:
-            total_hosts = sum(p.hosts for p in self.pools.values())
+            total_hosts = sum(p.hosts for p in pools.values())
         for cpu_key, share in target_shares.items():
             hosts = int(round(total_hosts * share))
-            if cpu_key not in self.pools:
-                if hosts > 0:
-                    from repro.cloudsim.host import HostPool
-                    pool = HostPool(cpu_key, hosts, slots_per_host,
-                                    affinity=0.4)
-                    pool.on_release = self._bucket_released
-                    if self._bus is not NULL_BUS:
-                        pool.attach_bus(self._bus, self.zone_id)
-                    self.pools[cpu_key] = pool
-                    self._pool_order = None
-            else:
-                self.pools[cpu_key].set_hosts(hosts, now)
-        for cpu_key in list(self.pools):
+            pool = pools.get(cpu_key)
+            if pool is not None:
+                pool.set_hosts(hosts, now)
+            elif hosts > 0:
+                from repro.cloudsim.host import HostPool
+                # New models take the first pool's host shape.
+                pool = HostPool(cpu_key, hosts,
+                                next(iter(pools.values())).slots_per_host,
+                                affinity=0.4)
+                pool.on_release = self._bucket_released
+                if self._bus is not NULL_BUS:
+                    pool.attach_bus(self._bus, self.zone_id)
+                pools[cpu_key] = pool
+                self._pool_order = None
+        for cpu_key, pool in pools.items():
             if cpu_key not in target_shares:
-                self.pools[cpu_key].set_hosts(0, now)
-        self._base_shares = self.cpu_slot_shares()
+                pool.set_hosts(0, now)
+        self._base_slots = self._slot_snapshot()
         # Rebalancing rebuilds the pool from the drift target, which does
         # not include surge hosts — the platform reclaims them when the
         # pressure spike has passed, replenishing the surge budget.
@@ -451,13 +454,15 @@ class AvailabilityZone(object):
         if add <= 0:
             return
         self._surge_slots_added += add
-        # Surge hosts mirror the zone's base CPU mix.
-        for cpu_key in self._base_shares.categories:
+        # Surge hosts mirror the zone's base CPU mix: the slot shares at
+        # construction or at the last rebalance.
+        base = CategoricalDistribution(self._base_slots)
+        for cpu_key in base.categories:
             pool = self.pools.get(cpu_key)
             if pool is None:
                 continue
             extra_hosts = int(round(
-                add * self._base_shares.share(cpu_key) / pool.slots_per_host))
+                add * base.share(cpu_key) / pool.slots_per_host))
             pool.add_hosts(max(0, extra_hosts))
         bus = self._bus
         if bus.enabled:
@@ -501,9 +506,10 @@ class AvailabilityZone(object):
             stale = 0
         self._fi_stale[deployment] = stale
 
-    def _typical_slots_per_host(self):
-        pools = list(self.pools.values())
-        return pools[0].slots_per_host if pools else 64
+    def _slot_snapshot(self):
+        """Provisioned slots per CPU model, the base mix surges mirror."""
+        return {key: p.hosts * p.slots_per_host
+                for key, p in self.pools.items()}
 
     def _find_warm_instance(self, deployment, now):
         # No per-call rebuild: expired entries are compacted by the expiry
@@ -517,38 +523,61 @@ class AvailabilityZone(object):
                 return fi
         return None
 
-    def _place_new_fis(self, deployment, count, now, duration,
+    def _place_new_fis(self, deployment, count, now, duration, claim,
                        materialize=True):
-        """Distribute ``count`` new FIs across pools; returns cpu -> count.
+        """The affinity-order half of the zone pass: warm claims, then
+        ``count`` minus the claimed FIs placed new across the pools.
 
-        Placement weight of a pool is ``free_slots × affinity``: low-affinity
-        (rare, phased-in/out) hardware is under-represented while mainstream
-        pools have room, and surfaces progressively as they fill — matching
-        EX-3, where partial characterizations under-count rare CPUs and
-        converge only as sampling approaches saturation.  The split carries
-        host-granular multinomial noise.  Allocates only what fits; the
-        caller treats the shortfall as failed requests.
+        Returns ``(reused, new)``, each a cpu -> count dict.
+        :meth:`_expire_and_scale` has already released every lapsed
+        bucket at ``now``, and neither a warm claim nor an admission
+        queues an expiry at or before ``now``, so each pool's free count
+        is read once, here, and trusted by :meth:`HostPool.admit_new`.
+
+        ``claim=True`` first takes this deployment's warm-idle FIs, pool
+        by pool in affinity order, until ``count`` is covered.  Placement
+        weight of a pool is then ``free_slots × affinity``: low-affinity
+        (rare, phased-in/out) hardware is under-represented while
+        mainstream pools have room, and surfaces progressively as they
+        fill — matching EX-3, where partial characterizations under-count
+        rare CPUs and converge only as sampling approaches saturation.
+        The split carries host-granular multinomial noise
+        (:meth:`_noisy_split`).  Allocates only what fits; the caller
+        treats the shortfall as failed requests.  ``materialize=False``
+        (the per-request path) only picks the pools.
         """
-        counts = {}
-        if count <= 0:
-            return counts
+        order = self._pool_order
+        if order is None:
+            order = self._pools_by_affinity()
+        keepalive = self.keepalive
+        reused = {}
         pools = []
         free = []
         weights = []
-        sph = []
-        for p in self._pools_by_affinity():
-            if p.hosts <= 0:  # capacity 0: slots_per_host is always > 0
+        slots = 0
+        for pool in order:
+            # A warm claim splits or refreshes buckets but never changes a
+            # pool's occupancy, so claims and free counts share the walk.
+            if claim and count > 0 and pool._warm.get(deployment):
+                claimed = pool.claim_warm(deployment, count, now, duration,
+                                          keepalive)
+                if claimed:
+                    reused[pool.cpu_key] = claimed
+                    count -= claimed
+            hosts = pool.hosts
+            if hosts <= 0:  # capacity 0: slots_per_host is always > 0
                 continue
-            heap = p._heap
-            if heap and heap[0][0] <= now:
-                p.expire(now)
-            f = p.hosts * p.slots_per_host - p._occupied
+            sph = pool.slots_per_host
+            f = hosts * sph - pool._occupied
             if f < 0:
                 f = 0
-            pools.append(p)
+            pools.append(pool)
             free.append(f)
-            weights.append(f * p.affinity)
-            sph.append(p.slots_per_host)
+            weights.append(f * pool.affinity)
+            slots += sph
+        counts = {}
+        if count <= 0:
+            return reused, counts
         if self._faults.enabled:
             factor = self._faults.capacity_factor(self.zone_id, now)
             if factor < 1.0:
@@ -556,22 +585,25 @@ class AvailabilityZone(object):
                 weights = [f * p.affinity for f, p in zip(free, pools)]
         total_free = sum(free)
         if total_free <= 0:
-            return counts
-        take = min(count, total_free)
-        split = self._noisy_split(take, free, weights, sph)
-        keepalive = self.keepalive
+            return reused, counts
+        take = count if count < total_free else total_free
+        if len(pools) == 1:
+            split = (take,)  # take <= total_free: nothing to draw
+        else:
+            split = self._noisy_split(take, free, weights,
+                                      slots / float(len(pools)))
         ka_dynamic = self._ka_dynamic
         for pool, allocated in zip(pools, split):
             if allocated <= 0:
                 continue
             if materialize:
-                bucket = pool.allocate(deployment, allocated, now, duration,
-                                       keepalive)
+                bucket = pool.admit_new(deployment, allocated, now, duration,
+                                        keepalive)
                 if ka_dynamic:
                     self._apply_keepalive_policy(bucket, pool, deployment,
                                                  now)
             counts[pool.cpu_key] = allocated  # cpu keys are unique per zone
-        return counts
+        return reused, counts
 
     #: Expiry horizon for pinned (CaaS min-instance) buckets: they never
     #: expire, so the heap entry sorts after every real deadline.
@@ -619,18 +651,26 @@ class AvailabilityZone(object):
     # range the paper reports (EX-3), with ~25 % in the worst zone.
     HOST_FILL_FRACTION = 0.15
 
-    def _noisy_split(self, take, free, weights, slots_per_host):
-        """Split ``take`` slots across pools ∝ ``weights``, sampling at
-        partial-host granularity, clamped to each pool's free slots."""
-        if len(free) == 1:
-            return [min(take, free[0])]
+    def _noisy_split(self, take, free, weights, mean_slots_per_host):
+        """Split ``take`` slots across two or more pools ∝ ``weights``,
+        sampling at partial-host granularity, clamped to each pool's free
+        slots; ``take`` never exceeds ``sum(free)``.
+
+        One ``rng.multinomial`` over ``HOST_FILL_FRACTION`` of a mean host
+        per draw; a single-pool zone never reaches here, so it draws
+        nothing.  Rounding drift and clamping shortfalls are settled
+        deterministically.
+        """
         total_weight = float(sum(weights))
         if total_weight <= 0:
             return [0] * len(free)
         probs = [w / total_weight for w in weights]
-        mean_sph = sum(slots_per_host) / float(len(slots_per_host))
-        granule = max(1.0, mean_sph * self.HOST_FILL_FRACTION)
-        host_draws = max(1, int(round(take / granule)))
+        granule = mean_slots_per_host * self.HOST_FILL_FRACTION
+        if granule < 1.0:
+            granule = 1.0
+        host_draws = round(take / granule)  # round() of a float is an int
+        if host_draws < 1:
+            host_draws = 1
         # .tolist() converts the multinomial draw to native ints up front:
         # the per-element arithmetic below is hot, and numpy scalars make it
         # several times slower without changing a single bit of the result.
@@ -638,24 +678,31 @@ class AvailabilityZone(object):
         draws = float(host_draws)
         split = []
         deficit = take
+        roomiest = most_room = -1
         for h, f in zip(host_counts, free):
-            s = int(round(take * (h / draws)))
+            s = round(take * (h / draws))
             if s > f:
                 s = f
+            if f - s > most_room:  # first pool with the most room left
+                most_room = f - s
+                roomiest = len(split)
             split.append(s)
             deficit -= s
-        # Fix rounding drift and clamping shortfalls deterministically.
+        # Fix rounding drift and clamping shortfalls deterministically:
+        # pools with the most room first, ties in affinity order.
         if deficit > 0:
-            headroom = [s - f for s, f in zip(split, free)]
-            order = sorted(range(len(free)), key=headroom.__getitem__)
-            idx = 0
-            while deficit > 0 and idx < len(order):
-                i = order[idx]
-                room = free[i] - split[i]
-                grant = min(room, deficit)
-                split[i] += grant
-                deficit -= grant
-                idx += 1
+            if most_room >= deficit:
+                split[roomiest] += deficit  # the roomiest pool takes it all
+                deficit = 0
+            else:
+                room = [f - s for s, f in zip(split, free)]
+                for i in sorted(range(len(free)), key=room.__getitem__,
+                                reverse=True):
+                    grant = min(room[i], deficit)
+                    split[i] += grant
+                    deficit -= grant
+                    if deficit <= 0:
+                        break
         while deficit < 0:
             # Rounding overshoot: shave from the largest allocation.
             i = max(range(len(split)), key=split.__getitem__)
@@ -669,11 +716,18 @@ class AvailabilityZone(object):
 
 
 def _apportion(total, weights):
-    """Integer-apportion ``total`` across categories ∝ ``weights`` (largest
-    remainder method); returns a dict with the same keys."""
+    """Integer-apportion ``total`` across categories ∝ integer ``weights``
+    (largest remainder method); returns a dict in sorted key order, without
+    the categories that get nothing."""
     if total <= 0 or not weights:
         return {}
-    weight_sum = float(sum(weights.values()))
+    weight_sum = sum(weights.values())
+    if weight_sum == total:
+        # One request per FI, as in every sampling poll: each raw share
+        # below is ``total * w / total``, exactly ``w``, so nothing is
+        # left to distribute.
+        return {k: weights[k] for k in sorted(weights) if weights[k] > 0}
+    weight_sum = float(weight_sum)
     if weight_sum <= 0:
         return {}
     keys = sorted(weights)

@@ -53,7 +53,8 @@ class InvocationBill(object):
 
     @property
     def total(self):
-        return self.compute + self.request
+        # Money + Money, without the operator's type dispatch.
+        return Money(self.compute.usd + self.request.usd)
 
     def __add__(self, other):
         return InvocationBill(

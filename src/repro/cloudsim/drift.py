@@ -106,8 +106,11 @@ class DriftProcess(object):
         else:
             prev_logits, prev_cap = self._daily_state(day - 1)
             rng = derive_rng(self._seed, "drift", self.zone_id, "day", day)
-            logits = {c: v + rng.normal(0.0, self.profile.daily_sigma)
-                      for c, v in prev_logits.items()}
+            # One vector draw: bit-identical to a scalar draw per model.
+            steps = rng.normal(0.0, self.profile.daily_sigma,
+                               size=len(prev_logits)).tolist()
+            logits = {c: v + step for (c, v), step
+                      in zip(prev_logits.items(), steps)}
             cap = prev_cap * float(np.exp(
                 rng.normal(0.0, self.profile.capacity_sigma)))
             cap = min(max(cap, 0.4), 2.5)
@@ -126,13 +129,17 @@ class DriftProcess(object):
         """CPU shares and host count at (day, hour)."""
         logits, cap = self._daily_state(int(day))
         hour = int(hour) % 24
-        rng = derive_rng(self._seed, "drift", self.zone_id, "hour", day, hour)
+        values = list(logits.values())
         sigma = self.profile.hourly_sigma
-        if sigma > 0 and rng.random() < self.profile.excursion_prob:
-            sigma *= self.profile.excursion_scale
-        perturbed = {c: v + (rng.normal(0.0, sigma) if sigma > 0 else 0.0)
-                     for c, v in logits.items()}
-        shares = _softmax(perturbed)
+        if sigma > 0:
+            rng = derive_rng(self._seed, "drift", self.zone_id, "hour", day,
+                             hour)
+            if rng.random() < self.profile.excursion_prob:
+                sigma *= self.profile.excursion_scale
+            # One vector draw: bit-identical to a scalar draw per model.
+            noise = rng.normal(0.0, sigma, size=len(values)).tolist()
+            values = [v + n for v, n in zip(values, noise)]
+        shares = dict(zip(logits, _softmax(values)))
         hosts = max(1, int(round(self.base_hosts * cap)))
         return shares, hosts
 
@@ -155,9 +162,14 @@ class DriftProcess(object):
         return True
 
 
-def _softmax(logits):
-    values = np.array(list(logits.values()), dtype=float)
-    values -= values.max()
-    exp = np.exp(values)
-    probs = exp / exp.sum()
-    return {c: float(p) for c, p in zip(logits.keys(), probs)}
+def _softmax(values):
+    """Normalized ``exp`` of a list of logits, as a list of floats.
+
+    Shifting and dividing are single IEEE operations, the same bits in
+    Python floats as in numpy; the exponentials and their sum stay numpy
+    (``math.exp`` can differ in the last bit).
+    """
+    top = max(values)
+    exp = np.exp([v - top for v in values])
+    total = float(exp.sum())
+    return [e / total for e in exp.tolist()]

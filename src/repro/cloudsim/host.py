@@ -67,7 +67,11 @@ sweep-everything implementation (see ``tests/test_capacity_equivalence``).
 
 import heapq
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import (
+    ConfigurationError,
+    non_negative_count,
+    positive_count,
+)
 from repro.cloudsim.instance import FIBucket, FunctionInstance
 from repro.obs.hooks import NULL_BUS
 
@@ -76,14 +80,13 @@ class HostPool(object):
     """All hosts of one CPU model within an AZ."""
 
     def __init__(self, cpu_key, hosts, slots_per_host, affinity=1.0):
-        if hosts < 0 or slots_per_host <= 0:
-            raise ConfigurationError(
-                "host pool needs hosts >= 0 and slots_per_host > 0")
-        if affinity <= 0:
-            raise ConfigurationError("affinity must be positive")
+        hosts = non_negative_count("hosts", hosts)
+        slots_per_host = positive_count("slots_per_host", slots_per_host)
+        if not 0 < affinity < float("inf"):
+            raise ConfigurationError("affinity must be positive and finite")
         self.cpu_key = cpu_key
-        self.hosts = int(hosts)
-        self.slots_per_host = int(slots_per_host)
+        self.hosts = hosts
+        self.slots_per_host = slots_per_host
         self.affinity = float(affinity)
         self._buckets = []
         self._heap = []
@@ -129,7 +132,7 @@ class HostPool(object):
             self._occupied -= count
             self._dead += 1
             released += count
-            if on_release is not None:
+            if on_release is not None and bucket.instance_id is not None:
                 on_release(bucket, now)
         if released and self.bus.enabled:
             self.bus.emit("host.expire", now, zone=self.zone_id,
@@ -179,26 +182,32 @@ class HostPool(object):
         """
         if count <= 0:
             raise ConfigurationError("allocation count must be positive")
-        heap = self._heap
-        if heap and heap[0][0] <= now:
-            self.expire(now)
-        free = self.hosts * self.slots_per_host - self._occupied
+        free = self.free_slots(now)
         if count > free:
             raise ConfigurationError(
                 "pool {} over-allocated: {} requested, {} free".format(
-                    self.cpu_key, count, max(0, free)))
-        bucket = FIBucket(deployment, self.cpu_key, count,
-                          busy_until=now + duration,
-                          expire_at=now + duration + keepalive)
-        # _admit, inlined: poll-sized campaigns allocate a bucket per pool
-        # per poll, so the batch path skips a few layers of calls.
+                    self.cpu_key, count, free))
+        return self.admit_new(deployment, count, now, duration, keepalive)
+
+    def admit_new(self, deployment, count, now, duration, keepalive):
+        """Create ``count`` new FIs as one bucket; returns the bucket.
+
+        The zone's placement pass entry point: the zone has already
+        released this pool's lapsed buckets and split the new FIs within
+        the free count it read, so nothing is re-probed or re-checked
+        here.  :meth:`allocate` is the checked form.
+        """
+        busy_until = now + duration
+        bucket = FIBucket(deployment, self.cpu_key, count, busy_until,
+                          busy_until + keepalive)
+        # _admit, inlined: the zone admits one bucket per pool per poll.
         bucket._pool = self
         self._buckets.append(bucket)
         self._occupied += bucket._count
         key = bucket._expire_at
         bucket._heap_key = key
         self._seq = seq = self._seq + 1
-        heapq.heappush(heap, (key, seq, bucket))
+        heapq.heappush(self._heap, (key, seq, bucket))
         bucket._order = seq
         warm = self._warm.get(deployment)
         if warm is None:
@@ -332,17 +341,13 @@ class HostPool(object):
         pools, but hosts running live FIs cannot be drained instantly, so
         shrinking is floored at the occupied host count.
         """
-        hosts = int(hosts)
-        if hosts < 0:
-            raise ConfigurationError("host count cannot be negative")
+        hosts = non_negative_count("hosts", hosts)
         occupied_hosts = -(-self.occupied(now) // self.slots_per_host)
         self.hosts = max(hosts, occupied_hosts)
         return self.hosts
 
     def add_hosts(self, hosts):
-        if hosts < 0:
-            raise ConfigurationError("cannot add a negative host count")
-        self.hosts += int(hosts)
+        self.hosts += non_negative_count("hosts", hosts)
 
     # -- internals ---------------------------------------------------------------
     def _admit(self, bucket):

@@ -18,11 +18,28 @@ class ConfigurationError(ReproError):
 def positive_count(name, value):
     """``value`` as a positive int, refusing fractions: a quota of 1000.7
     or 0.5 requests is a caller bug, not 1000 or 0."""
-    count = int(value)
-    if count != value or count <= 0:
+    if value.__class__ is int and value > 0:
+        return value
+    return _integral_count(name, value, 1, "positive")
+
+
+def non_negative_count(name, value):
+    """``value`` as an int >= 0, refusing fractions: a pool of 2.7 hosts
+    is a caller bug, not 2."""
+    if value.__class__ is int and value >= 0:
+        return value
+    return _integral_count(name, value, 0, "non-negative")
+
+
+def _integral_count(name, value, least, kind):
+    try:
+        count = int(value)
+    except (TypeError, ValueError, OverflowError):  # nan, inf, non-numbers
+        count = None
+    if count is None or count != value or count < least:
         raise ConfigurationError(
-            "{} must be a positive integral count, got {!r}".format(
-                name, value))
+            "{} must be a {} integral count, got {!r}".format(
+                name, kind, value))
     return count
 
 

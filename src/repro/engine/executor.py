@@ -46,8 +46,16 @@ BACKENDS = ("local", "remote")
 _FORKSERVER_LOCK = threading.Lock()
 
 
+#: What the fork server imports before it forks any worker, in order.
+#: ``numpy.random`` is left to the first seeded stream by ``import
+#: repro``, and would cost every worker an import on its first cell;
+#: :mod:`repro.engine.forkserver_init` comes last: it memoizes the
+#: catalog plan and freezes the heap the others built.
+FORKSERVER_PRELOAD = ("repro", "numpy.random", "repro.engine.forkserver_init")
+
+
 def _start_forkserver(context):
-    """Start the fork server with ``repro`` already imported.
+    """Start the fork server with :data:`FORKSERVER_PRELOAD` imported.
 
     Pool workers then fork with the package loaded instead of importing
     it again when they unpickle their first chunk.  CPython 3.10-3.13's
@@ -68,7 +76,7 @@ def _start_forkserver(context):
         os.environ["PYTHONPATH"] = (root if not saved
                                     else root + os.pathsep + saved)
         try:
-            context.set_forkserver_preload(["repro"])
+            context.set_forkserver_preload(list(FORKSERVER_PRELOAD))
             multiprocessing.forkserver.ensure_running()
         finally:
             if saved is None:

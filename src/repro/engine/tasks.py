@@ -95,10 +95,12 @@ class CampaignSummary(object):
 
     @classmethod
     def of(cls, result):
-        """Summarize a :class:`CampaignResult` (ground-truth profile)."""
-        return cls(result.zone_id, result.polls_run, result.total_requests,
-                   result.total_fis, result.saturated, result.total_cost,
-                   result.ground_truth())
+        """Summarize a :class:`CampaignResult` (ground-truth profile),
+        folding its observations once."""
+        polls = result.polls_run
+        requests, fis, cost, profile = result.fold(polls)
+        return cls(result.zone_id, polls, requests, fis, result.saturated,
+                   cost, profile)
 
     def ground_truth(self):
         """The saturation-time characterization (mirrors CampaignResult)."""

@@ -7,9 +7,10 @@ characterization — validated in the paper by a second account hitting
 immediate saturation.
 """
 
+from repro.common.distributions import CategoricalDistribution
 from repro.common.errors import CharacterizationError, ConfigurationError
 from repro.common.units import Money
-from repro.sampling.characterization import CharacterizationBuilder
+from repro.sampling.characterization import CPUCharacterization
 from repro.sampling.poller import Poller
 
 
@@ -48,26 +49,55 @@ class CampaignResult(object):
         progressive analyses, the parallel engine) can tell a saturated
         prefix from a misconfigured one.
         """
+        return self.fold(polls)[3]
+
+    def fold(self, polls):
+        """One pass over the first ``polls`` polls: ``(requests, fis,
+        cost, profile)``, the totals :attr:`total_requests`,
+        :attr:`total_fis` and :attr:`total_cost` report for that prefix
+        plus its characterization (what a
+        :class:`~repro.sampling.characterization.CharacterizationBuilder`
+        fed the serving polls would snapshot).
+
+        Costs are summed as plain floats in poll order: the additions
+        ``Money.__add__`` would make, so the bits are the same.  Raises
+        :class:`CharacterizationError` when no poll in the prefix served.
+        """
         if polls < 1 or polls > self.polls_run:
             raise ConfigurationError(
                 "polls must be in [1, {}]".format(self.polls_run))
-        builder = CharacterizationBuilder(self.zone_id)
-        failed_polls = []
-        for number, obs in enumerate(self.observations[:polls], start=1):
-            if obs.served > 0:
-                builder.add_poll(obs.cpu_counts, cost=obs.cost,
-                                 timestamp=obs.timestamp)
-            else:
-                failed_polls.append(number)
-        if builder.is_empty():
+        prefix = self.observations[:polls]
+        requests = fis = samples = served_polls = 0
+        cost = profile_cost = 0.0
+        counts = {}
+        last_time = None
+        for obs in prefix:
+            served = obs.served
+            usd = obs.cost.usd
+            requests += served + obs.failed
+            fis += obs.unique_fis
+            cost += usd
+            if served > 0:
+                for cpu_key, count in obs.cpu_counts.items():
+                    counts[cpu_key] = counts.get(cpu_key, 0) + count
+                    samples += count
+                served_polls += 1
+                profile_cost += usd
+                last_time = obs.timestamp
+        if samples == 0:
             raise CharacterizationError(
                 "first {} poll(s) in {} observed nothing: poll(s) "
                 "{} were all-failed ({} failed requests in the "
                 "prefix)".format(
                     polls, self.zone_id,
-                    ", ".join(str(n) for n in failed_polls),
-                    sum(obs.failed for obs in self.observations[:polls])))
-        return builder.snapshot()
+                    ", ".join(str(number) for number, obs
+                              in enumerate(prefix, start=1)
+                              if obs.served <= 0),
+                    sum(obs.failed for obs in prefix)))
+        profile = CPUCharacterization(
+            self.zone_id, CategoricalDistribution(counts), samples,
+            served_polls, Money(profile_cost), last_time or 0.0)
+        return requests, fis, Money(cost), profile
 
     def ground_truth(self):
         """The saturation-time characterization (all polls pooled)."""

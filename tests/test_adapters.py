@@ -189,6 +189,18 @@ class TestPoolScalingRule(object):
         assert rule.recipe(3200) == (0.7, 4, 200)
         assert rule.recipe(100) == (0.7, 4, 128)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"slots_per_minute": -1},
+        {"slots_per_minute": float("nan")},
+        {"surge_floor": -1},
+        {"surge_floor": 128.5},  # used to truncate to 128
+        {"surge_divisor": 0},
+        {"surge_divisor": 12.5},  # used to truncate to 12
+    ])
+    def test_rejects_bad_values(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            PoolScalingRule(**kwargs)
+
 
 class TestProviderAdapter(object):
     def test_preemption_validation(self):

@@ -19,6 +19,29 @@ class TestConstruction(object):
         with pytest.raises(ConfigurationError):
             AvailabilityZone("z", pools, clock)
 
+    @pytest.mark.parametrize("keepalive", [-5, -1e-9, float("nan")])
+    def test_rejects_bad_keepalive(self, clock, keepalive):
+        with pytest.raises(ConfigurationError):
+            AvailabilityZone("z", [HostPool("xeon-2.5", 1, 16)], clock,
+                             keepalive=keepalive)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"slots_per_minute": -5},
+        {"slots_per_minute": float("nan")},
+        {"slots_per_minute": float("inf")},
+        {"max_surge_slots": -1},
+        {"max_surge_slots": 10.7},
+        {"max_surge_slots": float("nan")},
+    ])
+    def test_scaling_policy_rejects_bad_values(self, kwargs):
+        with pytest.raises(ConfigurationError):
+            ScalingPolicy(**kwargs)
+
+    def test_scaling_policy_accepts_integral_values(self):
+        policy = ScalingPolicy(slots_per_minute=0, max_surge_slots=256.0)
+        assert policy.max_surge_slots == 256
+        assert type(policy.max_surge_slots) is int
+
     def test_capacity_sums_pools(self, zone):
         assert zone.capacity == (12 + 4) * 64
 

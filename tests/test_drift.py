@@ -1,5 +1,6 @@
 """Temporal drift processes."""
 
+import numpy as np
 import pytest
 
 from repro.common.distributions import (
@@ -7,6 +8,7 @@ from repro.common.distributions import (
     absolute_percentage_error,
 )
 from repro.common.errors import ConfigurationError
+from repro.common.rng import derive_rng
 from repro.common.units import DAYS, HOURS
 from repro.cloudsim.drift import DriftProcess, DriftProfile
 from tests.helpers import make_zone
@@ -134,3 +136,73 @@ class TestZoneDriftHook(object):
         zone.attach_drift(process)
         zone.clock.advance(1 * HOURS + 1)
         assert process.apply_if_due(zone, zone.clock.now)
+
+
+class ScalarDriftOracle(DriftProcess):
+    """The drift walk as one scalar draw per CPU model and a dict-based
+    softmax: the oracle the vector draws and the list softmax must match
+    bit for bit."""
+
+    def _daily_state(self, day):
+        if day in self._daily_cache:
+            return self._daily_cache[day]
+        if day == 0:
+            state = (dict(self._base_logits), 1.0)
+        else:
+            prev_logits, prev_cap = self._daily_state(day - 1)
+            rng = derive_rng(self._seed, "drift", self.zone_id, "day", day)
+            logits = {c: v + rng.normal(0.0, self.profile.daily_sigma)
+                      for c, v in prev_logits.items()}
+            cap = prev_cap * float(np.exp(
+                rng.normal(0.0, self.profile.capacity_sigma)))
+            cap = min(max(cap, 0.4), 2.5)
+            if (self.profile.hardware_event_rate > 0
+                    and self.profile.candidate_cpus):
+                if rng.random() < self.profile.hardware_event_rate:
+                    newcomer = str(rng.choice(self.profile.candidate_cpus))
+                    if newcomer not in logits:
+                        logits[newcomer] = max(logits.values()) - 3.0
+            state = (logits, cap)
+        self._daily_cache[day] = state
+        return state
+
+    def target_for(self, day, hour=0):
+        logits, cap = self._daily_state(int(day))
+        hour = int(hour) % 24
+        rng = derive_rng(self._seed, "drift", self.zone_id, "hour", day, hour)
+        sigma = self.profile.hourly_sigma
+        if sigma > 0 and rng.random() < self.profile.excursion_prob:
+            sigma *= self.profile.excursion_scale
+        perturbed = {c: v + (rng.normal(0.0, sigma) if sigma > 0 else 0.0)
+                     for c, v in logits.items()}
+        values = np.array(list(perturbed.values()), dtype=float)
+        values -= values.max()
+        exp = np.exp(values)
+        probs = exp / exp.sum()
+        shares = {c: float(p) for c, p in zip(perturbed, probs)}
+        return shares, max(1, int(round(self.base_hosts * cap)))
+
+
+DRIFT_PROFILES = {
+    "default": DriftProfile,
+    "stable": DriftProfile.stable,
+    "volatile": DriftProfile.volatile,
+    "frozen": DriftProfile.frozen,
+    "hardware-events": lambda: DriftProfile(
+        daily_sigma=0.2, hardware_event_rate=0.6,
+        candidate_cpus=("amd-epyc", "graviton-2", "xeon-3.0")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DRIFT_PROFILES))
+def test_targets_match_scalar_oracle(name):
+    """Every preset × seed × (day, hour): the same shares (same dict
+    order) and host count, bit for bit, as the scalar-draw oracle."""
+    for seed in (0, 1, 7, 9001, 123456789):
+        args = ("us-west-1a", base_shares(), 64, DRIFT_PROFILES[name]())
+        fast = DriftProcess(*args, seed=seed)
+        oracle = ScalarDriftOracle(*args, seed=seed)
+        for day in range(6):
+            for hour in (0, 1, 5, 11, 17, 23):
+                assert (repr(fast.target_for(day, hour))
+                        == repr(oracle.target_for(day, hour)))

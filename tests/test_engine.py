@@ -362,8 +362,12 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 #: workers re-run this main module before they unpickle any work, so its
 #: first line records whether the fork server had already imported repro.
 SWEEP_SCRIPT = textwrap.dedent("""\
-    import sys
+    import gc, sys
     PRELOADED = "repro" in sys.modules
+    PRELOADED_RANDOM = "numpy.random" in sys.modules
+    FROZEN = gc.get_freeze_count()
+    _catalog = sys.modules.get("repro.cloudsim.shared_catalog")
+    PLAN_WARM = _catalog is not None and _catalog._PLAN is not None
 
     import json, os, pickle
     sys.path.insert(0, sys.argv[1])
@@ -390,7 +394,11 @@ SWEEP_SCRIPT = textwrap.dedent("""\
             super().__init__(CloudSpec(seed=seed))
 
         def run(self):
-            return {"preloaded": PRELOADED, "repro": repro.__file__,
+            return {"preloaded": PRELOADED,
+                    "preloaded_random": PRELOADED_RANDOM,
+                    "frozen": FROZEN,
+                    "plan_warm": PLAN_WARM,
+                    "repro": repro.__file__,
                     "server_threads": _server_threads()}
 
 
@@ -453,6 +461,9 @@ class TestForkserverPreload(object):
         assert report["environ_kept"]
         for probe in report["probes"]:
             assert probe["preloaded"]
+            assert probe["preloaded_random"]
+            assert probe["frozen"] > 1000  # the preloaded heap
+            assert probe["plan_warm"]
             assert probe["repro"] == report["repro"]
 
     def test_unpreloaded_server_and_other_methods_match_serial(self,
@@ -464,6 +475,8 @@ class TestForkserverPreload(object):
         # preload: slower, same results.
         assert report["mode"] == "pool"
         assert not any(probe["preloaded"] for probe in report["probes"])
+        assert not any(probe["frozen"] or probe["plan_warm"]
+                       for probe in report["probes"])
 
     def test_pool_runs_with_deprecation_warnings_as_errors(self, tmp_path):
         # Python 3.12 warns when a multi-threaded process forks.  The

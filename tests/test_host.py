@@ -23,6 +23,26 @@ class TestCapacity(object):
         with pytest.raises(ConfigurationError):
             HostPool("x", hosts=1, slots_per_host=16, affinity=0)
 
+    @pytest.mark.parametrize("hosts,slots_per_host,affinity", [
+        (3, 0.5, 1.0),        # would truncate to 0 slots: capacity 0
+        (2.7, 64, 1.0),       # would truncate to 2 hosts
+        (float("nan"), 64, 1.0),
+        (4, float("inf"), 1.0),
+        ("4", 64, 1.0),
+        (4, 64, float("nan")),
+        (4, 64, float("inf")),
+    ])
+    def test_fractional_or_non_finite_shape_rejected(self, hosts,
+                                                      slots_per_host,
+                                                      affinity):
+        with pytest.raises(ConfigurationError):
+            HostPool("x", hosts, slots_per_host, affinity)
+
+    def test_integral_floats_accepted(self):
+        pool = HostPool("x", 3.0, 16.0)
+        assert (pool.hosts, pool.slots_per_host) == (3, 16)
+        assert type(pool.hosts) is int and type(pool.slots_per_host) is int
+
     def test_empty_pool_has_all_slots_free(self, pool):
         assert pool.free_slots(now=0.0) == 64
         assert pool.occupied(now=0.0) == 0
@@ -126,3 +146,21 @@ class TestResizing(object):
         assert pool.hosts == 6
         with pytest.raises(ConfigurationError):
             pool.add_hosts(-1)
+
+    def test_fractional_resizes_rejected(self, pool):
+        with pytest.raises(ConfigurationError):
+            pool.add_hosts(1.9)  # used to add 1
+        with pytest.raises(ConfigurationError):
+            pool.set_hosts(2.5, now=0.0)  # used to set 2
+        with pytest.raises(ConfigurationError):
+            pool.set_hosts(float("nan"), now=0.0)
+        assert pool.hosts == 4
+
+    def test_admit_new_trusts_the_callers_free_count(self, pool):
+        bucket = pool.admit_new("fn", 16, now=0.0, duration=1.0,
+                                keepalive=300.0)
+        assert (bucket.count, bucket.busy_until, bucket.expire_at) == (
+            16, 1.0, 301.0)
+        assert pool.occupied(now=0.0) == 16
+        assert pool.claim_warm("fn", 16, now=2.0, duration=1.0,
+                               keepalive=300.0) == 16

@@ -1,5 +1,7 @@
 """Poller, campaigns, progressive analysis, and cost accounting."""
 
+import pickle
+
 import pytest
 
 from repro.common.errors import (
@@ -7,12 +9,14 @@ from repro.common.errors import (
     ConfigurationError,
 )
 from repro.common.units import Money
+from repro.engine.tasks import CampaignSummary
 from repro.sampling import (
     Poller,
     ProgressiveAnalysis,
     SamplingCampaign,
 )
 from repro.sampling.campaign import CampaignResult
+from repro.sampling.characterization import CharacterizationBuilder
 from repro.sampling.cost import (
     campaign_cost_summary,
     characterization_cost,
@@ -257,3 +261,72 @@ class TestCharacterizationAfterEdgeCases(object):
             "test-1a", [_dead_poll(), _ok_poll(2)], saturated=False)
         profile = result.characterization_after(2)
         assert profile.samples == 2
+
+
+def _money_summary(result):
+    """The summary as ``Money`` sums and a characterization builder make
+    it: the reference for :meth:`CampaignSummary.of`'s one-pass fold."""
+    builder = CharacterizationBuilder(result.zone_id)
+    for obs in result.observations:
+        if obs.served > 0:
+            builder.add_poll(obs.cpu_counts, cost=obs.cost,
+                             timestamp=obs.timestamp)
+    observations = result.observations
+    return CampaignSummary(
+        result.zone_id, len(observations),
+        sum(obs.served + obs.failed for obs in observations),
+        sum(obs.unique_fis for obs in observations), result.saturated,
+        sum((obs.cost for obs in observations), Money(0)),
+        builder.snapshot())
+
+
+class TestOnePassFold(object):
+    @pytest.mark.parametrize("threshold,n_requests,polls,saturated", [
+        (0.5, 400, 30, True),    # stops at the saturating poll
+        (1.0, 400, 30, False),   # runs on past saturation: partial polls
+        (1.0, 150, 4, False),    # never fails a request
+    ], ids=["saturated", "partial", "unsaturated"])
+    def test_summary_pickle_matches_money_reference(
+            self, sampling_setup, threshold, n_requests, polls, saturated):
+        cloud, _, endpoints = sampling_setup
+        result = SamplingCampaign(
+            cloud, endpoints, n_requests=n_requests,
+            failure_threshold=threshold, max_polls=polls).run()
+        assert result.saturated is saturated
+        assert (pickle.dumps(CampaignSummary.of(result))
+                == pickle.dumps(_money_summary(result)))
+        for polls_after in (1, result.polls_run // 2, result.polls_run):
+            prefix = CampaignResult(result.zone_id,
+                                    result.observations[:polls_after],
+                                    result.saturated)
+            assert (pickle.dumps(result.characterization_after(polls_after))
+                    == pickle.dumps(_money_summary(prefix).profile))
+
+    def test_partial_campaign_has_failing_polls(self, sampling_setup):
+        cloud, _, endpoints = sampling_setup
+        result = SamplingCampaign(cloud, endpoints, n_requests=400,
+                                  failure_threshold=1.0, max_polls=30).run()
+        assert any(0 < obs.failed < obs.served + obs.failed
+                   for obs in result.observations)
+
+    def test_dead_polls_fold_like_the_reference(self):
+        result = CampaignResult(
+            "test-1a", [_dead_poll(4), _ok_poll(3), _dead_poll(2),
+                        _ok_poll(5)], saturated=True)
+        assert (pickle.dumps(CampaignSummary.of(result))
+                == pickle.dumps(_money_summary(result)))
+
+    def test_all_failed_campaign_raises_like_the_reference(self):
+        result = CampaignResult("test-1a", [_dead_poll(3), _dead_poll(5)],
+                                saturated=True)
+        with pytest.raises(CharacterizationError) as folded:
+            CampaignSummary.of(result)
+        with pytest.raises(CharacterizationError) as reference:
+            _money_summary(result)
+        assert "poll(s) 1, 2 were all-failed" in str(folded.value)
+        assert "8 failed requests" in str(folded.value)
+        assert "no observations" in str(reference.value)
+
+    def test_empty_campaign_rejects_the_poll_count(self):
+        with pytest.raises(ConfigurationError):
+            CampaignSummary.of(CampaignResult("test-1a", [], False))
