@@ -38,7 +38,6 @@ from repro.core import (
     RetryEngine,
     RetryPolicy,
     RetryRoutingPolicy,
-    RoutingStudy,
     SkyController,
     SmartRouter,
     WorkloadRunner,
@@ -69,7 +68,6 @@ from repro.engine import (
     ProgressiveTask,
     StudyTask,
     SweepEngine,
-    SweepProgress,
     TemporalTask,
     run_sweep,
 )
@@ -86,7 +84,17 @@ from repro.sampling import (
 from repro.skymesh import ExperimentRunner, SkyMesh
 from repro.workloads import all_workloads, workload_by_name
 
+from repro.common.lazy_exports import lazy_getattr
+
 __version__ = "1.0.0"
+
+#: Offline-study and sweep-progress names load on first access
+#: (:mod:`repro.common.lazy_exports`); a serving or sweep run never
+#: touches them.
+__getattr__ = lazy_getattr(globals(), {
+    "RoutingStudy": "repro.core.study",
+    "SweepProgress": "repro.engine.progress",
+})
 
 # ``build_sky`` is the friendlier name for the catalog builder.
 build_sky = build_global_catalog

@@ -8,7 +8,7 @@ capacity.
 """
 
 from repro.common.errors import ConfigurationError
-from repro.cloudsim.billing import InvocationBill
+from repro.common.units import Money
 
 
 class CloudAccount(object):
@@ -17,7 +17,13 @@ class CloudAccount(object):
     def __init__(self, account_id, provider):
         self.account_id = account_id
         self.provider = provider
-        self._ledger = []
+        # Running folds of the ledger in record order, so spend queries
+        # are bit-identical to summing every bill while an always-on
+        # account keeps no per-bill entries: category -> [compute usd,
+        # request usd, float(total) sum], plus the all-category
+        # [compute usd, request usd].
+        self._spend = {}
+        self._spend_all = [0.0, 0.0]
         self._throttled = 0
         self._deployments = {}
         # Admission is delegated to the provider adapter's quota model,
@@ -49,22 +55,33 @@ class CloudAccount(object):
 
     # -- ledger -----------------------------------------------------------------
     def record_bill(self, bill, category="invocation"):
-        self._ledger.append((category, bill))
+        compute = bill.compute.usd
+        request = bill.request.usd
+        fold = self._spend.get(category)
+        if fold is None:
+            fold = self._spend[category] = [0.0, 0.0, 0.0]
+        fold[0] += compute
+        fold[1] += request
+        fold[2] += compute + request
+        every = self._spend_all
+        every[0] += compute
+        every[1] += request
 
     def total_spend(self, category=None):
-        total = InvocationBill.zero()
-        for entry_category, bill in self._ledger:
-            if category is None or entry_category == category:
-                total = total + bill
-        return total.total
+        """Spend across every category, or within one, as ``Money``:
+        the compute and request fees each summed in record order, as
+        folding the bills with ``+`` does."""
+        if category is None:
+            compute, request = self._spend_all
+        else:
+            compute, request, _ = self._spend.get(category,
+                                                  (0.0, 0.0, 0.0))
+        return Money(compute + request)
 
     def spend_breakdown(self):
-        """Total spend per ledger category."""
-        breakdown = {}
-        for category, bill in self._ledger:
-            breakdown[category] = breakdown.get(category, 0.0) + float(
-                bill.total)
-        return breakdown
+        """Total spend per ledger category (each bill's total, summed in
+        record order), in first-recorded order."""
+        return {category: fold[2] for category, fold in self._spend.items()}
 
     # -- deployments --------------------------------------------------------------
     def register_deployment(self, deployment):

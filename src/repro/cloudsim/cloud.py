@@ -114,9 +114,10 @@ class Invocation(object):
 def _request_order_total(chunks):
     """Sum float64 chunks in request order with numpy's pairwise reduction.
 
-    Both ``poll_batch`` paths feed this the same values in the same order
-    (one chunk per CPU group), so the result is bit-identical no matter
-    how the chunks were produced.
+    The looped ``poll_batch`` spec feeds this one chunk per CPU group;
+    ``np.sum`` over their concatenation is the reduction the vectorized
+    path runs on its already concatenated array, so both totals carry
+    the same bits.
     """
     if not chunks:
         return 0.0
@@ -598,6 +599,10 @@ class Cloud(object):
         records = None if vectorize else []
         runtime_chunks = []
         latency_chunks = []
+        # (offset, count, samples) of each group's cold requests, for the
+        # vectorized path's single post-draw pass.
+        cold_slices = []
+        offset = 0
         # Draw order step 3: per CPU group in sorted order — one cold/warm
         # split, then one batched runtime draw.
         for cpu_key in sorted(cpu_counts):
@@ -618,21 +623,12 @@ class Cloud(object):
                 if fault_mult != 1.0:
                     cold_samples = cold_samples * fault_mult
             if vectorize:
-                if float(runtimes.max()) > timeout:
-                    over = runtimes > timeout
-                    timeouts_total += int(np.count_nonzero(over))
-                    runtimes = np.where(over, timeout, runtimes)
-                ticks_total += int(duration_ticks(
-                    runtimes, granularity, min_billed).sum())
-                latencies = runtimes.copy()
-                if cold_samples is not None:
-                    latencies[:cold_c] += cold_samples
-                elif cold_c and cold_start_s:
-                    latencies[:cold_c] += cold_start_s
-                if fault_spike:
-                    latencies += fault_spike
+                # Everything after the draws is deterministic and
+                # elementwise, so it runs once over all groups below.
                 runtime_chunks.append(runtimes)
-                latency_chunks.append(latencies)
+                if cold_c:
+                    cold_slices.append((offset, cold_c, cold_samples))
+                offset += len(runtimes)
             else:
                 # Looped executable spec: request by request, scalar
                 # quantization, one record object each.
@@ -664,15 +660,47 @@ class Cloud(object):
                 latency_chunks.append(
                     np.asarray(group_latencies, dtype=np.float64))
 
-        # Totals reduce the identical request-ordered float64 array in
-        # both paths, so numpy's pairwise summation yields the same bits.
-        runtime_total = _request_order_total(runtime_chunks)
-        latency_total = _request_order_total(latency_chunks)
-        if keep_latencies:
-            latencies = (np.concatenate(latency_chunks) if latency_chunks
-                         else np.zeros(0, dtype=np.float64))
+        if vectorize:
+            # One post-draw pass over the request-ordered runtimes: the
+            # timeout clamp, billing ticks (an exact integer sum), the
+            # cold and spike latency adds and both totals are elementwise
+            # or exact, so one pass equals one pass per CPU group.
+            if len(runtime_chunks) == 1:
+                runtimes = runtime_chunks[0]
+            elif runtime_chunks:
+                runtimes = np.concatenate(runtime_chunks)
+            else:
+                runtimes = np.zeros(0, dtype=np.float64)
+            if runtimes.size and float(runtimes.max()) > timeout:
+                over = runtimes > timeout
+                timeouts_total = int(np.count_nonzero(over))
+                runtimes = np.where(over, timeout, runtimes)
+            ticks_total = int(duration_ticks(
+                runtimes, granularity, min_billed).sum())
+            latencies = runtimes.copy()
+            for start, cold_c, cold_samples in cold_slices:
+                if cold_samples is not None:
+                    latencies[start:start + cold_c] += cold_samples
+                elif cold_start_s:
+                    latencies[start:start + cold_c] += cold_start_s
+            if fault_spike:
+                latencies += fault_spike
+            runtime_total = float(np.sum(runtimes))
+            latency_total = float(np.sum(latencies))
+            if not keep_latencies:
+                latencies = None
         else:
-            latencies = None
+            # Totals reduce the identical request-ordered float64 array,
+            # so numpy's pairwise summation yields the same bits as the
+            # vectorized pass.
+            runtime_total = _request_order_total(runtime_chunks)
+            latency_total = _request_order_total(latency_chunks)
+            if keep_latencies:
+                latencies = (np.concatenate(latency_chunks)
+                             if latency_chunks
+                             else np.zeros(0, dtype=np.float64))
+            else:
+                latencies = None
         served = placement.served
         bill = billing.bill_ticks(deployment.memory_mb, ticks_total,
                                   deployment.arch, requests=served)
@@ -717,11 +745,16 @@ class Cloud(object):
 
         Requests landing on freshly-placed FIs pay the cold start.  When
         a CPU has both new and reused FIs, the split over ``served_c``
-        requests is one multinomial draw weighted by the FI counts
-        (:meth:`CategoricalDistribution.sample_counts`); a single-category
-        group is deterministic and consumes no randomness.  Both
-        ``poll_batch`` paths call this identically, keeping the RNG
-        stream layout fixed.
+        requests is one multinomial draw weighted by the FI counts; a
+        single-category group is deterministic and consumes no
+        randomness.  Both ``poll_batch`` paths call this identically,
+        keeping the RNG stream layout fixed.
+
+        The draw is the one
+        ``CategoricalDistribution({"cold": new, "warm": reused})
+        .sample_counts(rng, served_c)`` makes — the same normalized
+        probabilities, bit for bit, and the same ``rng.multinomial``
+        call — without building the distribution.
         """
         new_c = new_fi_counts.get(cpu_key, 0)
         reused_c = (reused_fi_counts.get(cpu_key, 0)
@@ -730,9 +763,12 @@ class Cloud(object):
             return 0
         if not reused_c:
             return served_c
-        split = CategoricalDistribution(
-            {"cold": new_c, "warm": reused_c}).sample_counts(rng, served_c)
-        return split.get("cold", 0)
+        total = float(new_c) + float(reused_c)
+        cold_p = new_c / total
+        warm_p = reused_c / total
+        mass = cold_p + warm_p
+        return int(rng.multinomial(int(served_c),
+                                   [cold_p / mass, warm_p / mass])[0])
 
     @staticmethod
     def _find_fi(zone, deployment, instance_id):

@@ -49,13 +49,13 @@ from repro.core.runner import (
     CPURuntimeProfile,
     WorkloadRunner,
 )
-from repro.core.study import RoutingStudy, StudyResult
 from repro.core.metrics import (
     cost_savings_pct,
     cumulative_savings_pct,
     daily_savings_pct,
     summarize_savings,
 )
+from repro.common.lazy_exports import lazy_getattr
 
 __all__ = [
     "BreakerOpenError",
@@ -100,3 +100,10 @@ __all__ = [
     "daily_savings_pct",
     "summarize_savings",
 ]
+
+#: The multi-day study harness serves offline evaluations only; it loads
+#: on first access (:mod:`repro.common.lazy_exports`).
+__getattr__ = lazy_getattr(globals(), {
+    "RoutingStudy": "repro.core.study",
+    "StudyResult": "repro.core.study",
+})

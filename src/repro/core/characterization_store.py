@@ -23,6 +23,9 @@ class CharacterizationStore(object):
         self.staleness_limit = staleness_limit
         self._active = {}
         self._passive = {}
+        # zone -> (active, passive builder, passive samples, merged): the
+        # last merged profile, valid while the first three are unchanged.
+        self._merged = {}
 
     # -- active profiles ---------------------------------------------------------
     def put(self, characterization):
@@ -54,15 +57,26 @@ class CharacterizationStore(object):
             return passive.snapshot()
         if passive is None or passive.is_empty():
             return active
-        merged = active.distribution.merge(passive.snapshot().distribution)
-        return CPUCharacterization(
+        # The merge reads only the active profile and the builder's
+        # counts, and every passive fold adds a sample, so the merged
+        # profile holds until one of the three changes.  Routing asks for
+        # it several times per decision, far more often than that.
+        samples = passive.samples
+        memo = self._merged.get(zone_id)
+        if (memo is not None and memo[0] is active and memo[1] is passive
+                and memo[2] == samples):
+            return memo[3]
+        merged = CPUCharacterization(
             zone_id=zone_id,
-            distribution=merged,
-            samples=active.samples + passive.samples,
+            distribution=active.distribution.merge(
+                passive.snapshot().distribution),
+            samples=active.samples + samples,
             polls=active.polls,
             cost=active.cost,
             created_at=active.created_at,
         )
+        self._merged[zone_id] = (active, passive, samples, merged)
+        return merged
 
     def try_get(self, zone_id, now=None):
         """Like :meth:`get` but returns None instead of raising."""

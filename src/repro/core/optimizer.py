@@ -21,7 +21,12 @@ class ZoneRanker(object):
     # -- scoring -------------------------------------------------------------
     def expected_factor(self, zone_id, factors, now=None):
         """Characterization-weighted mean runtime factor for the zone."""
-        profile = self.store.get(zone_id, now=now)
+        return self.profile_factor(self.store.get(zone_id, now=now),
+                                   factors)
+
+    @staticmethod
+    def profile_factor(profile, factors):
+        """:meth:`expected_factor` of an already-fetched profile."""
         return profile.distribution.expectation(
             lambda cpu_key: factors.get(cpu_key))
 
@@ -34,7 +39,16 @@ class ZoneRanker(object):
         retry adds (check + hold) time, converted into factor units via
         ``base_seconds`` (the workload's baseline runtime).
         """
-        profile = self.store.get(zone_id, now=now)
+        return self.profile_factor_with_retry(
+            self.store.get(zone_id, now=now), factors, retry_policy,
+            check_seconds=check_seconds, base_seconds=base_seconds)
+
+    @staticmethod
+    def profile_factor_with_retry(profile, factors, retry_policy,
+                                  check_seconds=0.005, base_seconds=1.0):
+        """:meth:`expected_factor_with_retry` of an already-fetched
+        profile."""
+        zone_id = profile.zone_id
         shares = profile.shares()
         allowed = {cpu: share for cpu, share in shares.items()
                    if cpu not in retry_policy.banned_cpus}

@@ -15,6 +15,7 @@ workload's runtime factors, candidate zones) into a
 """
 
 from repro.common.errors import ConfigurationError
+from repro.core.optimizer import ZoneRanker
 from repro.core.retry import RetryPolicy
 
 
@@ -204,14 +205,17 @@ class HybridPolicy(RetryRoutingPolicy):
                 continue
             # Retries are only worth their holds where the zone's mix
             # rewards filtering — evaluate each zone both with and without
-            # the retry strategy and keep whichever is cheaper.
-            options = [(view.ranker.expected_factor(
-                zone_id, view.factors, now=view.now), None)]
+            # the retry strategy and keep whichever is cheaper.  The
+            # view's profile is the one the store would return at
+            # ``view.now``, so it is scored directly.
+            profile = view.characterizations[zone_id]
+            options = [(ZoneRanker.profile_factor(profile, view.factors),
+                        None)]
             retry = self._build_retry(view, zone_id)
             if retry is not None:
-                options.append((view.ranker.expected_factor_with_retry(
-                    zone_id, view.factors, retry,
-                    base_seconds=view.base_seconds, now=view.now), retry))
+                options.append((ZoneRanker.profile_factor_with_retry(
+                    profile, view.factors, retry,
+                    base_seconds=view.base_seconds), retry))
             for score, option_retry in options:
                 if best_score is None or score < best_score:
                     best_zone, best_score = zone_id, score

@@ -69,21 +69,28 @@ class _DynamicOverheadBase(Handler):
         if cpu_key is None:
             # Occupancy estimate (batch polls pass cpu_key=None before
             # placement picks real CPUs).  Models keyed strictly by CPU
-            # have no factor for None; fall back to the reference-CPU
+            # have no factor for None; they answer with the reference-CPU
             # mean, consuming no RNG — both batch-poll paths make this
             # call identically, so the stream contract holds.
-            try:
-                return overhead + model.duration_on(None, rng)
-            except ConfigurationError:
-                return overhead + self._reference_duration(model)
+            reference = self._reference_duration(model)
+            if reference is not None:
+                return overhead + reference
         return overhead + model.duration_on(cpu_key, rng)
 
     @staticmethod
     def _reference_duration(model):
+        """Reference-CPU mean of a model with no runtime factor for
+        ``None`` (where its ``duration_on(None, ...)`` would raise), else
+        None.  Checked up front: the occupancy draw runs once per batch
+        poll, and raising and catching costs more than the draw."""
         scale = 1.0
         while isinstance(model, ScaledWorkloadHandler):
             scale *= model.scale
             model = model.inner
+        factors = getattr(model, "cpu_factors", None)
+        if factors is None or factors.get(None, model.default_factor) \
+                is not None:
+            return None
         return scale * model.base_seconds
 
     def durations_on(self, cpu_key, rng, count, payload=None):
@@ -96,17 +103,23 @@ class _DynamicOverheadBase(Handler):
         batch-poll RNG stream contract holds for dynamic deployments.
         """
         payload = self._payload_of(payload)
-        overheads = None
-        if payload is not None:
-            overheads = np.full(count, CACHE_HIT_SECONDS, dtype=np.float64)
+        if payload is None:
+            return self._model_for(payload).durations_on(cpu_key, rng, count)
+        # The first request's overhead, then a scalar add of the cache-hit
+        # overhead to the rest: elementwise the same sums as adding a
+        # per-request overheads array.
+        first = self._decode_overhead(payload) if count else None
+        if cpu_key is not None and cpu_key in payload.banned_cpus:
+            runtimes = np.full(count, CACHE_HIT_SECONDS + CPU_CHECK_SECONDS)
             if count:
-                overheads[0] = self._decode_overhead(payload)
-            if cpu_key is not None and cpu_key in payload.banned_cpus:
-                return overheads + CPU_CHECK_SECONDS
-        model = self._model_for(payload)
-        runtimes = model.durations_on(cpu_key, rng, count)
-        if overheads is not None:
-            runtimes = overheads + runtimes
+                runtimes[0] = first + CPU_CHECK_SECONDS
+            return runtimes
+        runtimes = self._model_for(payload).durations_on(cpu_key, rng, count)
+        if not count:
+            return runtimes + CACHE_HIT_SECONDS
+        head = first + runtimes[0]
+        runtimes = runtimes + CACHE_HIT_SECONDS
+        runtimes[0] = head
         return runtimes
 
     def respond(self, cpu_key, payload=None):

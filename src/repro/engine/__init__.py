@@ -28,24 +28,10 @@ the results **byte-identical to a serial run**:
 See ``python -m repro sweep --help`` for the CLI front end.
 """
 
+from repro.common.lazy_exports import lazy_getattr
 from repro.engine.executor import BACKENDS, SweepEngine, run_sweep
 from repro.engine.grid import Cell, Grid
-from repro.engine.journal import ChunkJournal, guard_hash_for_tasks
 from repro.engine.lazy import LazyPayload, load_payload
-from repro.engine.progress import SweepProgress
-from repro.engine.protocol import (
-    FaultyTransport,
-    Transport,
-    client_auth,
-    connect,
-    server_auth,
-)
-from repro.engine.remote import (
-    SweepCoordinator,
-    SweepWorker,
-    run_worker,
-    spawn_local_workers,
-)
 from repro.engine.spec import CloudSpec
 from repro.engine.tasks import (
     DEFAULT_POLICY_SPECS,
@@ -90,3 +76,21 @@ __all__ = [
     "server_auth",
     "spawn_local_workers",
 ]
+
+#: The journal, progress aggregator and the remote backend's transport
+#: serve only the sweeps that use them; they load on first access
+#: (:mod:`repro.common.lazy_exports`).
+__getattr__ = lazy_getattr(globals(), {
+    "ChunkJournal": "repro.engine.journal",
+    "guard_hash_for_tasks": "repro.engine.journal",
+    "SweepProgress": "repro.engine.progress",
+    "FaultyTransport": "repro.engine.protocol",
+    "Transport": "repro.engine.protocol",
+    "client_auth": "repro.engine.protocol",
+    "connect": "repro.engine.protocol",
+    "server_auth": "repro.engine.protocol",
+    "SweepCoordinator": "repro.engine.remote",
+    "SweepWorker": "repro.engine.remote",
+    "run_worker": "repro.engine.remote",
+    "spawn_local_workers": "repro.engine.remote",
+})

@@ -48,10 +48,14 @@ _FORKSERVER_LOCK = threading.Lock()
 
 #: What the fork server imports before it forks any worker, in order.
 #: ``numpy.random`` is left to the first seeded stream by ``import
-#: repro``, and would cost every worker an import on its first cell;
+#: repro``, and so are the worker-side modules ``import repro`` loads
+#: lazily: :mod:`repro.obs.ship` (every cell's ``CloudSpec.build`` asks
+#: for the active telemetry capture) and :mod:`repro.core.study` (study
+#: cells); each would cost every worker an import on its first cell.
 #: :mod:`repro.engine.forkserver_init` comes last: it memoizes the
 #: catalog plan and freezes the heap the others built.
-FORKSERVER_PRELOAD = ("repro", "numpy.random", "repro.engine.forkserver_init")
+FORKSERVER_PRELOAD = ("repro", "numpy.random", "repro.obs.ship",
+                      "repro.core.study", "repro.engine.forkserver_init")
 
 
 def _start_forkserver(context):

@@ -18,7 +18,6 @@ from repro.cloudsim.catalog import (
 )
 from repro.cloudsim.cloud import Cloud
 from repro.cloudsim.shared_catalog import catalog_plan, install_plan
-from repro.obs.ship import current_capture
 
 
 class CloudSpec(object):
@@ -78,6 +77,8 @@ class CloudSpec(object):
         cloud = Cloud(seed=self.seed)
         install_plan(cloud, catalog_plan(), aws_only=self.aws_only,
                      regions=self.regions)
+        from repro.obs.ship import current_capture
+
         capture = current_capture()
         if capture is not None:
             capture.install(cloud)

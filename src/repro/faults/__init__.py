@@ -37,13 +37,8 @@ from repro.faults.models import (
     TransientFaults,
     ZoneOutage,
 )
-from repro.faults.fleet import (
-    CoordinatorCrash,
-    FleetChaos,
-    FleetEvent,
-    FLEET_EVENTS,
-)
 from repro.faults.schedule import FaultSchedule, PRESET_NAMES, build_preset
+from repro.common.lazy_exports import lazy_getattr
 
 __all__ = [
     "Brownout",
@@ -66,3 +61,12 @@ __all__ = [
     "ZoneOutage",
     "build_preset",
 ]
+
+#: Fleet chaos perturbs a real worker fleet, which only remote sweeps
+#: run; it loads on first access (:mod:`repro.common.lazy_exports`).
+__getattr__ = lazy_getattr(globals(), {
+    "CoordinatorCrash": "repro.faults.fleet",
+    "FleetChaos": "repro.faults.fleet",
+    "FleetEvent": "repro.faults.fleet",
+    "FLEET_EVENTS": "repro.faults.fleet",
+})

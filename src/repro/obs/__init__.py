@@ -28,14 +28,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.trace import Span, Trace, Tracer, format_trace
 from repro.obs.catalog import EVENT_METRICS, UNBRIDGED, compile_catalog
-from repro.obs import export
-from repro.obs.async_export import (
-    AsyncCsvExporter,
-    AsyncJsonlExporter,
-    AsyncPrometheusExporter,
-)
-from repro.obs.ship import TelemetryCapture, TelemetryMerge, current_capture
-from repro.obs.manifest import DEFAULT_REGISTRY, RunManifest, RunRegistry
+from repro.common.lazy_exports import lazy_getattr
 
 #: The bridge's compiled lookup table (see :mod:`repro.obs.catalog`).
 _PLANS = compile_catalog()
@@ -192,16 +185,23 @@ __all__ = [
     "render_tail",
 ]
 
-#: Served from :mod:`repro.obs.serve` on first access: it pulls in the
-#: stdlib HTTP/TLS stack, which ``import repro`` (every sweep worker)
-#: should not pay for.
-_LAZY_SERVE = ("ObsServer", "render_tail", "scrape")
-
-
-def __getattr__(name):
-    if name in _LAZY_SERVE:
-        from repro.obs import serve
-
-        return getattr(serve, name)
-    raise AttributeError("module {!r} has no attribute {!r}".format(
-        __name__, name))
+#: Loaded on first access (:mod:`repro.common.lazy_exports`): the
+#: exporters, telemetry shipping and run manifests serve only the runs
+#: that ask for them, and :mod:`repro.obs.serve` pulls in the stdlib
+#: HTTP/TLS stack, which ``import repro`` (every sweep worker) should not
+#: pay for.
+__getattr__ = lazy_getattr(globals(), {
+    "export": "repro.obs.export",
+    "AsyncCsvExporter": "repro.obs.async_export",
+    "AsyncJsonlExporter": "repro.obs.async_export",
+    "AsyncPrometheusExporter": "repro.obs.async_export",
+    "TelemetryCapture": "repro.obs.ship",
+    "TelemetryMerge": "repro.obs.ship",
+    "current_capture": "repro.obs.ship",
+    "DEFAULT_REGISTRY": "repro.obs.manifest",
+    "RunManifest": "repro.obs.manifest",
+    "RunRegistry": "repro.obs.manifest",
+    "ObsServer": "repro.obs.serve",
+    "render_tail": "repro.obs.serve",
+    "scrape": "repro.obs.serve",
+})

@@ -14,7 +14,6 @@ import collections
 from operator import itemgetter
 
 from repro.obs.metrics import COUNTER, GAUGE, HISTOGRAM
-from repro.obs.ship import WALL_MS_BUCKETS
 
 _REQUIRED = object()
 
@@ -24,6 +23,11 @@ BREAKER_STATE_CODES = {"closed": 0, "half_open": 1, "open": 2}
 
 #: Request counts per coalesced flush: powers of two from 1 to 4,096.
 BATCH_SIZE_BUCKETS = tuple(float(2 ** power) for power in range(13))
+
+#: Millisecond-scale buckets for per-cell wall times (the default bucket
+#: ladder is in seconds and tops out far too low for multi-second cells).
+WALL_MS_BUCKETS = (1.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0,
+                   1000.0, 2500.0, 5000.0, 10000.0, 30000.0, 60000.0)
 
 
 class Field(object):

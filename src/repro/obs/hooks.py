@@ -163,6 +163,12 @@ class EventRecorder(object):
 
     The counts survive ring-buffer eviction, so ``counts()`` reflects the
     whole run even when only the tail of the event stream is retained.
+
+    Each event is kept as one flat tuple — name, timestamp, the field
+    names (one shared tuple per distinct field layout), then the field
+    values — instead of the :class:`Event` and its fields dict: about
+    half the memory of a full buffer.  :meth:`events` rebuilds equal
+    :class:`Event` objects, fields in their emitted order.
     """
 
     def __init__(self, bus=None, capacity=20000, names=None):
@@ -170,24 +176,31 @@ class EventRecorder(object):
             raise ConfigurationError("capacity must be >= 1")
         self._events = collections.deque(maxlen=int(capacity))
         self._counts = {}
+        self._layouts = {}
         self._names = frozenset(names) if names is not None else None
         self._unsubscribe = None
         if bus is not None:
             self._unsubscribe = bus.subscribe(self.on_event)
 
     def on_event(self, event):
-        if self._names is not None and event.name not in self._names:
+        name = event.name
+        if self._names is not None and name not in self._names:
             return
-        self._events.append(event)
-        self._counts[event.name] = self._counts.get(event.name, 0) + 1
+        fields = event.fields
+        keys = tuple(fields)
+        layout = self._layouts.setdefault(keys, keys)
+        self._events.append((name, event.timestamp, layout,
+                             *fields.values()))
+        self._counts[name] = self._counts.get(name, 0) + 1
 
     def __len__(self):
         return len(self._events)
 
     def events(self, name=None):
-        if name is None:
-            return list(self._events)
-        return [event for event in self._events if event.name == name]
+        return [Event(record[0], record[1],
+                      dict(zip(record[2], record[3:])))
+                for record in self._events
+                if name is None or record[0] == name]
 
     def counts(self):
         """Total observed events per name (eviction-proof)."""

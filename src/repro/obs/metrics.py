@@ -14,6 +14,7 @@ import bisect
 import math
 import random
 import threading
+from array import array
 
 from repro.common.errors import ConfigurationError
 
@@ -182,7 +183,9 @@ class Histogram(object):
     internally each bucket holds its own count.  The reservoir uses
     Vitter's algorithm R with a per-histogram deterministic seed, so
     quantiles are exact while ``count <= reservoir_size`` and an unbiased
-    sample beyond.
+    sample beyond.  The reservoir is an ``array('d')``: the same doubles
+    as a list of floats at a quarter of the memory (8 KB instead of
+    32 KB when full), which matters for runs that keep many reports.
     """
 
     __slots__ = ("buckets", "bucket_counts", "count", "sum", "min", "max",
@@ -201,7 +204,7 @@ class Histogram(object):
         self.sum = 0.0
         self.min = None
         self.max = None
-        self._reservoir = []
+        self._reservoir = array("d")
         self._reservoir_size = int(reservoir_size)
         self._rng = random.Random(seed)
 

@@ -30,6 +30,7 @@ import threading
 import time
 
 from repro.common.errors import ConfigurationError
+from repro.obs.catalog import WALL_MS_BUCKETS
 from repro.obs.hooks import EventBus
 from repro.obs.metrics import COUNTER, GAUGE, HISTOGRAM, MetricsRegistry
 from repro.obs.trace import Tracer
@@ -46,10 +47,6 @@ DEFAULT_MAX_EVENTS = 5000
 #: distribution regardless).
 SHIPPED_RESERVOIR = 256
 
-#: Millisecond-scale buckets for per-cell wall times (the default bucket
-#: ladder is in seconds and tops out far too low for multi-second cells).
-WALL_MS_BUCKETS = (1.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0,
-                   1000.0, 2500.0, 5000.0, 10000.0, 30000.0, 60000.0)
 
 _ACTIVE = threading.local()
 

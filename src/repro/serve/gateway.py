@@ -193,9 +193,6 @@ class _ZoneBuffer(object):
             groups.append((timestamp, count))
         self.count += count
 
-    def oldest(self):
-        return self.groups[0][0] if self.groups else None
-
     def take_all(self):
         groups, self.groups, self.count = self.groups, [], 0
         return groups
@@ -257,8 +254,11 @@ class ServeGateway(object):
 
         One tick = draw arrivals, admit, buffer, flush due batches,
         periodic report/staleness checks, then advance the sim clock.
-        The re-characterization worker runs between ticks (the loop
-        yields once per tick).
+        The re-characterization worker runs between ticks: an unpaced
+        loop yields to the event loop after any tick that queued work
+        for it, and otherwise once per ``decide_every_s`` of sim time so
+        co-hosted coroutines still get scheduled points; a paced loop
+        (``wall_pace > 0``) sleeps every tick.
         """
         if duration_s <= 0:
             raise ConfigurationError("duration_s must be positive")
@@ -273,6 +273,11 @@ class ServeGateway(object):
         worker = asyncio.ensure_future(self._recharacterize_loop())
         last_report = start
         self._last_staleness_check = start
+        queue = self._recharacterize_queue
+        paced = config.wall_pace > 0.0
+        pace_s = config.tick_s * config.wall_pace
+        yield_every_s = config.decide_every_s
+        next_yield = start
         try:
             while not self._drain_requested and clock.now < deadline:
                 now = clock.now
@@ -284,12 +289,19 @@ class ServeGateway(object):
                         >= config.staleness_check_every_s):
                     self._check_staleness(now)
                     self._last_staleness_check = now
-                # Yield once per tick so the re-characterization worker
-                # (and any co-hosted ObsServer) gets scheduled points.
-                if config.wall_pace > 0.0:
-                    await asyncio.sleep(config.tick_s * config.wall_pace)
-                else:
+                # The re-characterization worker only runs when the loop
+                # yields, so a tick that queued work for it always
+                # yields: the refresh lands before the next tick, exactly
+                # as with a yield every tick.  An idle unpaced loop
+                # yields once per decision interval, which keeps
+                # coroutines sharing the event loop (a drain request, a
+                # watcher) scheduled without a full loop iteration per
+                # tick.  (``ObsServer`` is a thread and needs none.)
+                if paced:
+                    await asyncio.sleep(pace_s)
+                elif queue.qsize() or now >= next_yield:
                     await asyncio.sleep(0)
+                    next_yield = now + yield_every_s
                 clock.advance(config.tick_s)
             drained = self._drain(clock.now)
             self._emit_report(clock.now, max(clock.now - last_report,
@@ -322,7 +334,9 @@ class ServeGateway(object):
         report.offered += offered
         self._win["offered"] += offered
         if offered:
-            queued = sum(b.count for b in self._buffers.values())
+            queued = 0
+            for buffer in self._buffers.values():
+                queued += buffer.count
             granted, shed_tokens, shed_queue = self.admission.admit(
                 offered, queued, config.tick_s)
             report.admitted += granted
@@ -339,7 +353,11 @@ class ServeGateway(object):
                         bus.emit("serve.shed", now, count=shed_queue,
                                  reason="queue_full")
             if granted:
-                decision = self._current_decision(now)
+                decision = self._decision
+                if (decision is None or self._decision_at is None
+                        or now - self._decision_at >= config.decide_every_s):
+                    decision = self._decision = self.router.decide(now=now)
+                    self._decision_at = now
                 buffer = self._buffers.get(decision.zone_id)
                 if buffer is None or buffer.decision is not decision:
                     buffer = self._buffers.setdefault(
@@ -348,31 +366,21 @@ class ServeGateway(object):
                 buffer.add(now, granted)
         self._flush_due(now)
 
-    def _current_decision(self, now):
-        if (self._decision is None or self._decision_at is None
-                or now - self._decision_at >= self.config.decide_every_s):
-            self._decision = self.router.decide(now=now)
-            self._decision_at = now
-        return self._decision
-
     def _flush_due(self, now, force=False):
         config = self.config
-        for zone_id in list(self._buffers):
-            buffer = self._buffers[zone_id]
+        # A flush never adds a buffer, so the dict can be walked live.
+        for buffer in self._buffers.values():
             if not buffer.count:
                 continue
-            oldest = buffer.oldest()
-            due = (force or buffer.count >= config.batch_size
-                   or (oldest is not None
-                       and now - oldest >= config.flush_deadline_s))
-            if due:
+            if (force or buffer.count >= config.batch_size
+                    or now - buffer.groups[0][0] >= config.flush_deadline_s):
                 self._flush(buffer, now)
 
     # -- dispatch -------------------------------------------------------------
     def _flush(self, buffer, now):
         """Resolve one zone buffer: coalesced above the floor, scalar below."""
+        count = buffer.count
         groups = buffer.take_all()
-        count = sum(c for _, c in groups)
         if not count:
             return
         if count >= self.config.batch_floor:
@@ -408,11 +416,15 @@ class ServeGateway(object):
         report.cost_usd += float(result.bill.total)
         if served:
             # Queue wait per request: FIFO order over the arrival groups;
-            # the first `served` arrivals are the ones that got capacity.
-            waits = np.repeat(
-                [now - ts for ts, _ in groups],
-                [c for _, c in groups])[:served]
-            latencies = result.latencies[:served] + waits
+            # the first `served` arrivals are the ones that got capacity,
+            # so each group's wait is added to its slice in place.
+            latencies = result.latencies[:served].copy()
+            start = 0
+            for timestamp, group_count in groups:
+                if start >= served:
+                    break
+                latencies[start:start + group_count] += now - timestamp
+                start += group_count
             self._observe_latencies(latencies)
         self._note_zone_outcome(decision.zone_id, served, failed, now)
         self._emit_batch(decision.zone_id, "coalesced", count, result=result,
@@ -452,7 +464,7 @@ class ServeGateway(object):
     def _observe_latencies(self, latencies):
         report = self.report
         report.latency_sum_s += float(latencies.sum())
-        report.slo_hits += int((latencies <= report.slo_s).sum())
+        report.slo_hits += int(np.count_nonzero(latencies <= report.slo_s))
         self._pending.append(latencies)
         self._pending_values += len(latencies)
         if self._pending_values >= FOLD_VALUES:

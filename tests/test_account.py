@@ -1,9 +1,11 @@
 """Cloud accounts: quotas and ledgers."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cloudsim.account import CloudAccount
-from repro.cloudsim.billing import AWS_LAMBDA_BILLING
+from repro.cloudsim.billing import AWS_LAMBDA_BILLING, InvocationBill
 from repro.cloudsim.provider import AWS_LAMBDA
 from repro.common.units import Money
 
@@ -71,3 +73,68 @@ class TestDeployments(object):
         from repro.common.errors import ConfigurationError
         with pytest.raises(ConfigurationError):
             account.register_deployment(FakeDeployment())
+
+
+class ListLedger(object):
+    """The list-backed ledger the running folds replace: every bill kept,
+    summed on demand."""
+
+    def __init__(self):
+        self.entries = []
+
+    def record_bill(self, bill, category="invocation"):
+        self.entries.append((category, bill))
+
+    def total_spend(self, category=None):
+        total = InvocationBill.zero()
+        for entry_category, bill in self.entries:
+            if category is None or entry_category == category:
+                total = total + bill
+        return total.total
+
+    def spend_breakdown(self):
+        breakdown = {}
+        for category, bill in self.entries:
+            breakdown[category] = breakdown.get(category, 0.0) + float(
+                bill.total)
+        return breakdown
+
+
+class TestRunningFolds(object):
+    @settings(max_examples=60, deadline=None)
+    @given(bills=st.lists(
+        st.tuples(st.sampled_from(["serve", "poll", "invocation", None]),
+                  st.integers(min_value=128, max_value=10240),
+                  st.floats(min_value=0.0, max_value=900.0,
+                            allow_nan=False),
+                  st.integers(min_value=0, max_value=5000)),
+        max_size=40))
+    def test_interleaved_categories_match_list_reference(self, bills):
+        account = CloudAccount("acct", AWS_LAMBDA)
+        reference = ListLedger()
+        for category, memory_mb, duration_s, requests in bills:
+            bill = AWS_LAMBDA_BILLING.bill(memory_mb, duration_s,
+                                           requests=requests)
+            account.record_bill(bill, category=category)
+            reference.record_bill(bill, category=category)
+        for category in ("serve", "poll", "invocation", None, "absent"):
+            want = reference.total_spend(category)
+            got = account.total_spend(category)
+            assert isinstance(got, Money)
+            assert got.usd.hex() == want.usd.hex()
+        want = reference.spend_breakdown()
+        got = account.spend_breakdown()
+        assert list(got) == list(want)
+        assert [value.hex() for value in got.values()] == \
+            [value.hex() for value in want.values()]
+
+    def test_account_keeps_no_per_bill_container(self):
+        account = CloudAccount("acct", AWS_LAMBDA)
+        bill = AWS_LAMBDA_BILLING.bill(1024, 1.0)
+        for index in range(1000):
+            account.record_bill(bill, category=("a", "b")[index % 2])
+        sizes = [len(value) for value in vars(account).values()
+                 if isinstance(value, (list, dict, tuple, set))]
+        # Deployments, the two per-category folds and the all-category
+        # fold: nothing grows with the number of bills.
+        assert max(sizes) <= 3

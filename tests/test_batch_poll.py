@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cloudsim import BatchPollResult, Cloud
+from repro.cloudsim.adapters import BimodalColdStart, LognormalColdStart
 from repro.cloudsim.billing import (
     AWS_LAMBDA_BILLING,
     IBM_CODE_ENGINE_BILLING,
@@ -154,6 +155,127 @@ class TestBatchLoopEquivalence(object):
             clouds.append(account)
         assert float(clouds[0].total_spend()) == \
             float(clouds[1].total_spend())
+
+
+COLD_STARTS = {
+    "fixed": lambda: None,
+    "lognormal": lambda: LognormalColdStart(0.45, sigma=0.35),
+    "bimodal": lambda: BimodalColdStart(0.25, 2.5, slow_share=0.15),
+}
+
+
+def _noisy():
+    # Sigma wide enough that a 0.32 s timeout cuts a share of requests.
+    return ModeledWorkloadHandler("wl", 0.3, {}, noise_sigma=0.2,
+                                  default_factor=1.0)
+
+
+SHAPED_HANDLERS = dict(HANDLERS, noisy=_noisy)
+
+
+def _shaped_polls(vectorize, seed, handler_key, cold_key, timeout, spiked,
+                  bursts, advance_s):
+    """``(aggregate_key, latency bytes)`` per poll of a fresh cloud with
+    the given cold-start distribution, timeout and latency spike."""
+    cloud = make_cloud(seed=seed)
+    if spiked:
+        FaultInjector([LatencySpike(extra_s=0.35, jitter_sigma=0.2)],
+                      seed=seed).install(cloud)
+    account = cloud.create_account("acct", "aws")
+    deployment = cloud.deploy(account, "test-1a", "fn", 1024,
+                              handler=SHAPED_HANDLERS[handler_key]())
+    cold = COLD_STARTS[cold_key]()
+    if cold is not None:
+        deployment.cold_start = cold
+    if timeout is not None:
+        deployment.function_timeout = timeout
+    polls = []
+    for n_requests in bursts:
+        result = cloud.poll_batch(deployment, n_requests,
+                                  vectorize=vectorize, keep_latencies=True)
+        polls.append((result.aggregate_key(), result.latencies.tobytes(),
+                      result.cold_starts, result.timeouts))
+        cloud.clock.advance(advance_s)
+    return polls
+
+
+class TestPostDrawPassMatchesLoopedSpec(object):
+    """The vectorized path draws per CPU group but clamps, bills, adds
+    cold/spike latency and totals once over all groups; the looped spec
+    does all of it request by request.  Both must agree to the bit on
+    every shape the post-draw pass handles."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        handler_key=st.sampled_from(sorted(SHAPED_HANDLERS)),
+        cold_key=st.sampled_from(sorted(COLD_STARTS)),
+        timeout=st.sampled_from([None, 0.32]),
+        spiked=st.booleans(),
+        bursts=st.lists(st.integers(min_value=1, max_value=900),
+                        min_size=1, max_size=4),
+        advance_s=st.sampled_from([5.0, 30.0, 400.0]),
+    )
+    def test_shapes_bit_identical(self, seed, handler_key, cold_key,
+                                  timeout, spiked, bursts, advance_s):
+        args = (seed, handler_key, cold_key, timeout, spiked, bursts,
+                advance_s)
+        assert _shaped_polls(True, *args) == _shaped_polls(False, *args)
+
+    def test_every_shape_engages(self):
+        # Mixed new/reused groups, stochastic cold starts, timeouts and
+        # the spike all fire in one seeded run, on both paths.
+        for vectorize in (True, False):
+            polls = _shaped_polls(vectorize, 42, "noisy", "lognormal", 0.32,
+                                  True, [600, 900], 30.0)
+            (first, _, _, timeouts), (second, _, cold, _) = polls
+            assert 0 < timeouts < first[1]
+            assert 0 < cold < second[1]
+            # Some CPU group of the second poll mixes new and reused FIs,
+            # so its cold/warm split is a multinomial draw.
+            requests, colds = dict(second[4]), dict(second[5])
+            assert any(0 < colds.get(cpu, 0) < count
+                       for cpu, count in requests.items())
+
+
+class TestColdSplit(object):
+    """``Cloud._cold_split`` makes the multinomial draw
+    ``CategoricalDistribution.sample_counts`` makes, without the
+    distribution: same counts and the same RNG state after."""
+
+    @staticmethod
+    def _reference(cpu_key, served_c, new_counts, reused_counts, rng):
+        new_c = new_counts.get(cpu_key, 0)
+        reused_c = reused_counts.get(cpu_key, 0) if reused_counts else 0
+        if not new_c:
+            return 0
+        if not reused_c:
+            return served_c
+        split = CategoricalDistribution(
+            {"cold": new_c, "warm": reused_c}).sample_counts(rng, served_c)
+        return split.get("cold", 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        new_c=st.integers(min_value=0, max_value=5000),
+        reused_c=st.integers(min_value=0, max_value=5000),
+        served_c=st.integers(min_value=0, max_value=20000),
+        reused_empty=st.booleans(),
+    )
+    def test_matches_sample_counts(self, seed, new_c, reused_c, served_c,
+                                   reused_empty):
+        new_counts = {"cpu": new_c}
+        reused_counts = {} if reused_empty else {"cpu": reused_c}
+        fast_rng, spec_rng = derive_rng(seed, "c"), derive_rng(seed, "c")
+        fast = Cloud._cold_split("cpu", served_c, new_counts, reused_counts,
+                                 fast_rng)
+        spec = self._reference("cpu", served_c, new_counts, reused_counts,
+                               spec_rng)
+        assert fast == spec
+        assert type(fast) is int
+        assert (fast_rng.bit_generator.state
+                == spec_rng.bit_generator.state)
 
 
 class TestBatchPollResult(object):

@@ -1,15 +1,21 @@
 """Simulator-side dynamic-function handlers."""
 
+import numpy as np
 import pytest
 
 from repro.common.errors import ConfigurationError, PayloadError
-from repro.cloudsim.handlers import ModeledWorkloadHandler
+from repro.common.rng import derive_rng
+from repro.cloudsim.handlers import (
+    ModeledWorkloadHandler,
+    ScaledWorkloadHandler,
+)
 from repro.dynfunc import (
     CPU_CHECK_SECONDS,
     DynamicFunctionHandler,
     UniversalDynamicFunctionHandler,
     build_payload,
 )
+from repro.dynfunc.handler import CACHE_HIT_SECONDS
 
 SOURCE = "def handler(event, context):\n    return 1\n"
 
@@ -112,3 +118,80 @@ class TestUniversalHandler(object):
         payload = build_payload(SOURCE)  # no workload arg
         with pytest.raises(PayloadError):
             handler.duration_on("xeon-2.5", None, payload)
+
+
+def _reference_durations_on(handler, cpu_key, rng, count, payload=None):
+    """The per-request overheads-array form of ``durations_on``: decode
+    overhead on the first request, cache hits after, the CPU check
+    short-circuiting banned CPUs."""
+    payload = handler._payload_of(payload)
+    overheads = None
+    if payload is not None:
+        overheads = np.full(count, CACHE_HIT_SECONDS, dtype=np.float64)
+        if count:
+            overheads[0] = handler._decode_overhead(payload)
+        if cpu_key is not None and cpu_key in payload.banned_cpus:
+            return overheads + CPU_CHECK_SECONDS
+    runtimes = handler._model_for(payload).durations_on(cpu_key, rng, count)
+    if overheads is not None:
+        runtimes = overheads + runtimes
+    return runtimes
+
+
+def _noisy_model():
+    return ScaledWorkloadHandler(ModeledWorkloadHandler(
+        "wl", 10.0, {"fast": 0.9, "slow": 1.3}, noise_sigma=0.05), 1.5)
+
+
+class TestDurationsOnMatchesOverheadsArray(object):
+    """The scalar cache-hit add must reproduce the overheads array's
+    bytes and RNG consumption on every branch."""
+
+    @pytest.mark.parametrize("cpu_key", ["fast", "slow"])
+    @pytest.mark.parametrize("count", [0, 1, 257])
+    @pytest.mark.parametrize("with_payload", [True, False])
+    @pytest.mark.parametrize("repeat", [False, True])
+    def test_bytes_and_stream(self, cpu_key, count, with_payload, repeat):
+        payload = (build_payload(SOURCE).with_banned_cpus(["slow"])
+                   if with_payload else None)
+        fast = DynamicFunctionHandler(_noisy_model())
+        spec = DynamicFunctionHandler(_noisy_model())
+        fast_rng, spec_rng = derive_rng(3, "d"), derive_rng(3, "d")
+        for _ in range(2 if repeat else 1):  # the second call is cached
+            got = fast.durations_on(cpu_key, fast_rng, count, payload)
+            want = _reference_durations_on(spec, cpu_key, spec_rng, count,
+                                           payload)
+            assert got.dtype == want.dtype == np.float64
+            assert got.tobytes() == want.tobytes()
+            assert fast._seen_hashes == spec._seen_hashes
+        assert fast_rng.bit_generator.state == spec_rng.bit_generator.state
+
+
+class TestOccupancyDraw(object):
+    """``duration_on(None, ...)`` — the batch poll's occupancy estimate —
+    answers a CPU-keyed model with its reference-CPU mean, drawing no RNG
+    and raising nothing on the way."""
+
+    def test_reference_mean_without_raising(self, monkeypatch):
+        handler = DynamicFunctionHandler(_noisy_model())
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the model must not be asked for None")
+
+        monkeypatch.setattr(handler.workload_model, "duration_on", refuse)
+        rng, reference = derive_rng(4, "o"), derive_rng(4, "o")
+        payload = build_payload(SOURCE)
+        first = handler.duration_on(None, rng, payload)
+        again = handler.duration_on(None, rng, payload)
+        assert again == CACHE_HIT_SECONDS + 1.5 * 10.0
+        assert first > again  # the first call paid the decode
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_model_with_a_default_factor_still_draws(self):
+        model = ModeledWorkloadHandler("wl", 2.0, {}, noise_sigma=0.05,
+                                       default_factor=1.2)
+        handler = DynamicFunctionHandler(model)
+        rng, reference = derive_rng(5, "o"), derive_rng(5, "o")
+        assert handler.duration_on(None, rng) == model.duration_on(
+            None, reference)
+        assert rng.bit_generator.state == reference.bit_generator.state

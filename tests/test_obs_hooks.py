@@ -1,6 +1,10 @@
 """The event bus: pub/sub semantics, no-op default, bounded recording."""
 
+import collections
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError
 from repro.obs.hooks import NULL_BUS, Event, EventBus, EventRecorder, NullBus
@@ -143,3 +147,60 @@ class TestEventRecorder(object):
         recorder.clear()
         assert len(recorder) == 0
         assert recorder.counts() == {}
+
+
+class ListRecorder(object):
+    """The recorder as a bounded deque of the delivered events: the
+    reference the compact tuple form is checked against."""
+
+    def __init__(self, capacity, names=None):
+        self.events = collections.deque(maxlen=capacity)
+        self.names = names
+
+    def on_event(self, event):
+        if self.names is None or event.name in self.names:
+            self.events.append(event)
+
+
+_FIELD_VALUES = st.one_of(
+    st.integers(), st.floats(allow_nan=False), st.text(max_size=3),
+    st.booleans(), st.none(), st.lists(st.integers(), max_size=2))
+
+
+class TestCompactRecorderMatchesEvents(object):
+    @settings(max_examples=60, deadline=None)
+    @given(stream=st.lists(st.tuples(
+        st.sampled_from(["a", "b", "c"]),
+        st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+        st.dictionaries(st.sampled_from(["zone", "count", "ok", "x", "y"]),
+                        _FIELD_VALUES, max_size=5)), max_size=40),
+        capacity=st.integers(min_value=1, max_value=50),
+        names=st.one_of(st.none(), st.just(("a", "c"))))
+    def test_events_equal_the_delivered_events(self, stream, capacity,
+                                               names):
+        bus = EventBus()
+        recorder = EventRecorder(bus, capacity=capacity, names=names)
+        reference = ListRecorder(capacity, names)
+        bus.subscribe(reference.on_event)
+        for name, timestamp, fields in stream:
+            bus.emit(name, timestamp, **fields)
+        for name in (None, "a", "b", "c"):
+            want = [event for event in reference.events
+                    if name is None or event.name == name]
+            got = recorder.events(name)
+            assert [(e.name, e.timestamp, list(e.fields.items()))
+                    for e in got] == \
+                [(e.name, e.timestamp, list(e.fields.items()))
+                 for e in want]
+            assert all(type(e) is Event for e in got)
+        assert len(recorder) == len(reference.events)
+
+    def test_one_layout_tuple_per_field_order(self):
+        bus = EventBus()
+        recorder = EventRecorder(bus)
+        for index in range(100):
+            bus.emit("e", float(index), zone="z", count=index)
+        bus.emit("e", 100.0, count=1, zone="z")
+        layouts = {id(record[2]) for record in recorder._events}
+        assert len(layouts) == 2
+        assert list(recorder.events()[-1].fields) == ["count", "zone"]

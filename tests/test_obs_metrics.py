@@ -1,5 +1,8 @@
 """The metrics registry: counters, gauges, histogram quantiles."""
 
+import pickle
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -354,3 +357,91 @@ class TestMetricsRegistry(object):
     def test_unknown_kind_lookup_raises(self):
         with pytest.raises(ConfigurationError):
             MetricsRegistry().kind("missing")
+
+
+def _list_backed(reservoir_size, seed):
+    """A histogram whose reservoir is a plain list of floats: the form
+    the ``array('d')`` reservoir replaced, kept as its reference."""
+    histogram = Histogram(reservoir_size=reservoir_size, seed=seed)
+    histogram._reservoir = []
+    return histogram
+
+
+class TestArrayReservoirMatchesList(object):
+    """The array-backed reservoir stores the same doubles as a list, so
+    every read and every fold must agree with the list-backed form."""
+
+    @staticmethod
+    def _pair(reservoir_size, seed, calls):
+        """Drive an array- and a list-backed histogram through ``calls``:
+        ints are scalar ``observe`` runs, tuples ``observe_many`` calls
+        (sizes at or above ``_COLUMNAR_MIN`` take the columnar replay)."""
+        rng = np.random.default_rng(seed)
+        fast = Histogram(reservoir_size=reservoir_size, seed=seed)
+        spec = _list_backed(reservoir_size, seed)
+        for call in calls:
+            if isinstance(call, int):
+                for value in rng.lognormal(-2.0, 1.0, size=call).tolist():
+                    fast.observe(value)
+                    spec.observe(value)
+            else:
+                arrays = [rng.lognormal(-2.0, 1.0, size=size)
+                          for size in call]
+                fast.observe_many(*arrays)
+                spec.observe_many(*arrays)
+        return fast, spec
+
+    @staticmethod
+    def _assert_same(fast, spec):
+        assert fast._reservoir.typecode == "d"
+        assert list(fast._reservoir) == spec._reservoir
+        assert _full_state(fast) == _full_state(spec)
+        for q in (0.0, 0.01, 0.5, 0.95, 0.99, 1.0):
+            got, want = (fast.quantile(q, default=None),
+                         spec.quantile(q, default=None))
+            assert got == want and (got is None or got.hex() == want.hex())
+        assert fast.state() == spec.state()
+        assert fast.state(max_reservoir=7) == spec.state(max_reservoir=7)
+
+    @pytest.mark.parametrize("calls", [
+        [5],
+        [(3, 4), 2, (10,)],
+        [40, (metrics._COLUMNAR_MIN,), 3, (metrics._COLUMNAR_MIN + 5, 9)],
+        [(metrics._COLUMNAR_MIN * 2,), 50],
+    ])
+    def test_scalar_and_columnar_streams(self, calls):
+        self._assert_same(*self._pair(32, 9, calls))
+
+    @settings(max_examples=40, deadline=None)
+    @given(reservoir_size=st.integers(min_value=1, max_value=64),
+           calls=st.lists(st.one_of(
+               st.integers(min_value=1, max_value=40),
+               st.lists(st.integers(min_value=0, max_value=600),
+                        min_size=1, max_size=3).map(tuple)),
+               min_size=1, max_size=5),
+           seed=st.integers(min_value=0, max_value=2 ** 16))
+    def test_any_stream(self, reservoir_size, calls, seed):
+        self._assert_same(*self._pair(reservoir_size, seed, calls))
+
+    def test_merge_state_and_pickle(self):
+        fast, spec = self._pair(16, 3, [20, (300,)])
+        other, _ = self._pair(16, 4, [(40,)])
+        shipped = other.state(max_reservoir=8)
+        fast.merge_state(shipped)
+        spec.merge_state(shipped)
+        self._assert_same(fast, spec)
+        restored = pickle.loads(pickle.dumps(fast))
+        assert restored._reservoir.typecode == "d"
+        self._assert_same(restored, spec)
+        # The restored histogram keeps folding like the original.
+        values = np.linspace(0.01, 2.0, 500)
+        restored.observe_many(values)
+        spec.observe_many(values)
+        self._assert_same(restored, spec)
+
+    def test_full_reservoir_is_compact(self):
+        fast, spec = self._pair(1024, 1, [(4096,)])
+        assert len(fast._reservoir) == 1024
+        assert sys.getsizeof(fast._reservoir) < 9 * 1024
+        assert sys.getsizeof(fast._reservoir) * 3 < \
+            sys.getsizeof(spec._reservoir) + 24 * len(spec._reservoir)

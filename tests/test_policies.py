@@ -1,6 +1,8 @@
 """Routing policies."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError
 from repro.common.units import Money
@@ -12,7 +14,7 @@ from repro.core import (
     RetryRoutingPolicy,
     ZoneRanker,
 )
-from repro.core.policies import RoutingView
+from repro.core.policies import RoutingDecision, RoutingView
 from repro.sampling import CharacterizationBuilder
 
 FACTORS = {"xeon-2.5": 1.0, "xeon-2.9": 1.25, "xeon-3.0": 0.9,
@@ -130,3 +132,76 @@ class TestHybrid(object):
 
     def test_name_includes_variant(self):
         assert HybridPolicy("retry_slow").name == "hybrid_retry_slow"
+
+
+class StoreScoredHybrid(HybridPolicy):
+    """The hybrid policy as it scored before reading the view: two store
+    lookups per zone through the ranker."""
+
+    def decide(self, view):
+        best_zone, best_score, best_retry = None, None, None
+        for zone_id in view.candidate_zones:
+            if zone_id not in view.characterizations:
+                continue
+            options = [(view.ranker.expected_factor(
+                zone_id, view.factors, now=view.now), None)]
+            retry = self._build_retry(view, zone_id)
+            if retry is not None:
+                options.append((view.ranker.expected_factor_with_retry(
+                    zone_id, view.factors, retry,
+                    base_seconds=view.base_seconds, now=view.now), retry))
+            for score, option_retry in options:
+                if best_score is None or score < best_score:
+                    best_zone, best_score = zone_id, score
+                    best_retry = option_retry
+        if best_zone is None:
+            raise ConfigurationError("hybrid policy found no routable zone")
+        return RoutingDecision(best_zone, best_retry)
+
+
+_COUNTS = st.dictionaries(st.sampled_from(sorted(FACTORS)),
+                          st.integers(min_value=1, max_value=200),
+                          min_size=1, max_size=4)
+
+
+class TestViewScoringMatchesStoreScoring(object):
+    @settings(max_examples=80, deadline=None)
+    @given(active=st.lists(_COUNTS, min_size=1, max_size=4),
+           passive=st.lists(st.lists(st.sampled_from(sorted(FACTORS)),
+                                     max_size=12), min_size=4, max_size=4),
+           variant=st.sampled_from(["retry_slow", "focus_fastest"]),
+           base_seconds=st.sampled_from([0.5, 8.0]))
+    def test_same_decision_and_scores(self, active, passive, variant,
+                                      base_seconds):
+        store = CharacterizationStore()
+        zones = ["zone-{}".format(i) for i in range(len(active))]
+        for zone, counts in zip(zones, active):
+            builder = CharacterizationBuilder(zone)
+            builder.add_poll(counts, cost=Money(0), timestamp=0.0)
+            store.put(builder.snapshot())
+        for zone, observations in zip(zones, passive):
+            for cpu in observations:
+                store.record_observation(zone, cpu, timestamp=1.0)
+        ranker = ZoneRanker(store)
+        view = RoutingView(characterizations=store.view(zones, now=5.0),
+                           factors=FACTORS, base_seconds=base_seconds,
+                           ranker=ranker, candidate_zones=zones, now=5.0)
+        policy = HybridPolicy(variant)
+        for zone in zones:
+            profile = view.characterizations[zone]
+            assert ZoneRanker.profile_factor(profile, FACTORS) == \
+                ranker.expected_factor(zone, FACTORS, now=5.0)
+            retry = policy._build_retry(view, zone)
+            if retry is not None:
+                assert ZoneRanker.profile_factor_with_retry(
+                    profile, FACTORS, retry, base_seconds=base_seconds) == \
+                    ranker.expected_factor_with_retry(
+                        zone, FACTORS, retry, base_seconds=base_seconds,
+                        now=5.0)
+        fast = policy.decide(view)
+        spec = StoreScoredHybrid(variant).decide(view)
+        assert fast.zone_id == spec.zone_id
+        assert (fast.retry_policy is None) == (spec.retry_policy is None)
+        if fast.retry_policy is not None:
+            assert fast.retry_policy.banned_cpus == \
+                spec.retry_policy.banned_cpus

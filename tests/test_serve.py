@@ -271,6 +271,35 @@ class TestGateway(object):
         assert drains[0].fields["requested"] is True
         assert drains[0].fields["drained"] == report.drained
 
+    @pytest.mark.parametrize("wall_pace, fewest, most", [
+        # One yield per 10-ms decision interval, plus a few from the
+        # run's start and drain.
+        (0.0, 20, 25),
+        # A paced loop sleeps on every 1-ms tick (the watcher may spin
+        # more than once while a sleep's timer runs).
+        (1e-6, 200, None),
+    ])
+    def test_yields_once_per_decision_interval(self, wall_pace, fewest,
+                                               most):
+        # The tick loop's yields are what a coroutine sharing the event
+        # loop gets to run on; an idle unpaced loop gives one per
+        # decide_every_s of sim time, not one per tick.
+        config = GatewayConfig(wall_pace=wall_pace)
+        gateway = make_gateway(seed=7, rate_rps=2000.0, config=config)
+        wakeups = []
+
+        async def scenario():
+            run = asyncio.ensure_future(gateway.run(0.2))
+            while not run.done():
+                wakeups.append(gateway.cloud.clock.now)
+                await asyncio.sleep(0)
+            return await run
+
+        report = asyncio.run(scenario())
+        assert report.recharacterizations == 0
+        assert len(wakeups) >= fewest
+        assert most is None or len(wakeups) <= most
+
     def test_diurnal_arrivals_track_the_curve(self):
         arrivals = DiurnalArrivals(200.0, 4000.0, period_s=4.0, seed=3)
         gateway = make_gateway(seed=3, arrivals=arrivals)

@@ -112,3 +112,84 @@ class TestPassive(object):
         store.record_observation("z-2", "a")
         store.clear_passive()
         assert store.zones() == []
+
+
+def _merge_reference(store, zone_id):
+    """The merged profile built from scratch, as every ``get`` once did."""
+    active = store._active[zone_id]
+    passive = store._passive[zone_id]
+    return (active.distribution.merge(passive.snapshot().distribution),
+            active.samples + passive.samples)
+
+
+class TestMergedProfileMemo(object):
+    """``get`` reuses the merged active+passive profile while the active
+    profile, the passive builder and its sample count are unchanged."""
+
+    @staticmethod
+    def _store(limit=None):
+        store = CharacterizationStore(staleness_limit=limit)
+        store.put(profile(counts={"a": 60, "b": 40}, timestamp=0.0))
+        store.record_observation("z-1", "c", timestamp=1.0)
+        return store
+
+    @staticmethod
+    def _assert_fresh(store, merged):
+        distribution, samples = _merge_reference(store, "z-1")
+        assert merged.distribution.counts() == distribution.counts()
+        assert merged.samples == samples
+
+    def test_unchanged_store_reuses_the_profile(self):
+        store = self._store()
+        first = store.get("z-1")
+        assert store.get("z-1") is first
+        assert store.view(["z-1"])["z-1"] is first
+        self._assert_fresh(store, first)
+
+    def test_record_observation_invalidates(self):
+        store = self._store()
+        first = store.get("z-1")
+        store.record_observation("z-1", "a", timestamp=2.0)
+        second = store.get("z-1")
+        assert second is not first
+        assert second.distribution.count("a") == \
+            first.distribution.count("a") + 1
+        self._assert_fresh(store, second)
+
+    def test_put_invalidates(self):
+        store = self._store()
+        first = store.get("z-1")
+        store.put(profile(counts={"b": 10}, timestamp=3.0))
+        second = store.get("z-1")
+        assert second is not first
+        assert second.created_at == 3.0
+        self._assert_fresh(store, second)
+
+    def test_clear_passive_invalidates(self):
+        store = self._store()
+        merged = store.get("z-1")
+        store.clear_passive("z-1")
+        assert store.get("z-1") is store._active["z-1"]
+        # A new builder with the same sample count is a different state.
+        store.record_observation("z-1", "b", timestamp=4.0)
+        again = store.get("z-1")
+        assert again is not merged
+        assert again.distribution.count("b") == \
+            merged.distribution.count("b") + 1
+        assert again.distribution.count("c") == 0
+        self._assert_fresh(store, again)
+
+    def test_clear_all_passive_invalidates(self):
+        store = self._store()
+        store.get("z-1")
+        store.clear_passive()
+        assert store.get("z-1") is store._active["z-1"]
+
+    def test_stale_profile_raises_even_when_cached(self):
+        store = self._store(limit=100.0)
+        cached = store.get("z-1", now=50.0)
+        assert store.get("z-1", now=99.0) is cached
+        with pytest.raises(CharacterizationError):
+            store.get("z-1", now=101.0)
+        assert store.try_get("z-1", now=101.0) is None
+        assert store.view(["z-1"], now=101.0) == {}
