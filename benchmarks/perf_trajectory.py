@@ -69,9 +69,14 @@ SERVE_SIM_S = 5.0
 SERVE_SCALAR_SIM_S = 0.5
 SERVE_REPEATS = 3
 MIN_SERVE_SPEEDUP = 5.0
+#: Zones in the full 41-region catalog (cloud_build_ms builds them all).
+CATALOG_ZONES = 44
+#: The zones the perfbench serve rig uses (sky_build_ms builds these).
+SKY_ZONES = ("us-west-1a", "us-west-1b")
 METRICS = ("poll_1000_us", "invoke_one_us", "sweep_grid24_ms",
            "sweep_grid24_pool_ms", "poll_100k_ms", "batch_invoke_10k_us",
-           "cloud_build_ms", "serve_sustained_rps", "serve_p99_ms")
+           "cloud_build_ms", "sky_build_ms", "serve_sustained_rps",
+           "serve_p99_ms")
 #: Throughput metrics: bigger is better, and the normalized cost is
 #: value * calibration (a slow machine lowers the rate, so multiplying
 #: by its per-op cost cancels the machine out).
@@ -300,11 +305,29 @@ def measure_serve():
 
 
 def measure_build():
-    """Full-catalog CloudSpec.build, exercising the shared plan memo."""
-    def build():
-        CloudSpec(seed=17, aws_only=False).build()
+    """Sky construction, down to the zones each build is named for.
 
-    return {"cloud_build_ms": best_of(build) * 1e3}
+    Zones build on first use, so ``CloudSpec.build()`` alone times only
+    their registration.  ``cloud_build_ms`` is the full-catalog build
+    (exercising the shared plan memo) plus every one of its 44 zones;
+    ``sky_build_ms`` is ``build_sky(aws_only=True)`` plus the two zones
+    the perfbench serve rig uses.
+    """
+    def full():
+        cloud = CloudSpec(seed=17, aws_only=False).build()
+        zone_ids = cloud.zone_ids()
+        built = {zone_id: cloud.zone(zone_id) for zone_id in zone_ids}
+        assert len(built) == CATALOG_ZONES, len(built)
+        assert all(zone.zone_id == zone_id
+                   for zone_id, zone in built.items())
+
+    def sky():
+        cloud = build_sky(seed=17, aws_only=True)
+        for zone_id in SKY_ZONES:
+            assert cloud.zone(zone_id).zone_id == zone_id
+
+    return {"cloud_build_ms": best_of(full) * 1e3,
+            "sky_build_ms": best_of(sky) * 1e3}
 
 
 def measure():
@@ -413,6 +436,7 @@ def cmd_record(args):
           "(pool {pool:.1f}ms) "
           "poll_100k={batch:.2f}ms (loop {loop:.1f}ms, {speed:.1f}x) "
           "batch_10k={b10k:.1f}us build={build:.2f}ms "
+          "sky_build={sky:.2f}ms "
           "serve={srv:.0f}rps (scalar {scalar:.0f}rps, {srvx:.1f}x) "
           "serve_p99={p99:.1f}ms (calibration {cal:.4f}us)".format(
               label=entry["label"], commit=entry["commit"],
@@ -426,6 +450,7 @@ def cmd_record(args):
               / numbers["poll_100k_ms"],
               b10k=numbers["batch_invoke_10k_us"],
               build=numbers["cloud_build_ms"],
+              sky=numbers["sky_build_ms"],
               srv=numbers["serve_sustained_rps"],
               scalar=numbers["serve_scalar_rps"],
               srvx=numbers["serve_sustained_rps"]

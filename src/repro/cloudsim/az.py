@@ -111,7 +111,7 @@ class AvailabilityZone(object):
     """A FaaS deployment zone backed by a finite heterogeneous host pool."""
 
     def __init__(self, zone_id, pools, clock, keepalive=DEFAULT_KEEPALIVE,
-                 scaling=None, rng=None, keepalive_policy=None):
+                 scaling=None, rng=None, keepalive_policy=None, now=None):
         if not pools:
             raise ConfigurationError("zone needs at least one host pool")
         keys = [p.cpu_key for p in pools]
@@ -133,7 +133,9 @@ class AvailabilityZone(object):
         self._pool_order = None
         for pool in pools:
             pool.on_release = self._bucket_released
-        self._last_scale_check = clock.now
+        # ``now`` backdates a zone built after its install time (see
+        # :func:`~repro.cloudsim.catalog.zone_from_recipe`).
+        self._last_scale_check = clock.now if now is None else float(now)
         self._surge_slots_added = 0
         self._base_slots = self._slot_snapshot()
         self._drift = None
@@ -168,11 +170,12 @@ class AvailabilityZone(object):
         self._faults = injector
         return injector
 
-    def attach_drift(self, drift_process):
+    def attach_drift(self, drift_process, now=None):
         """Attach a :class:`~repro.cloudsim.drift.DriftProcess`; the zone
-        rebalances lazily whenever the clock crosses an hour boundary."""
+        rebalances lazily whenever the clock crosses an hour boundary.
+        The first rebalance applies at ``now`` (default: the clock)."""
         self._drift = drift_process
-        drift_process.apply_if_due(self, self.clock.now)
+        drift_process.apply_if_due(self, self._now(now))
 
     def attach_background(self, background_load):
         """Attach a :class:`~repro.cloudsim.background.BackgroundLoad`
@@ -180,12 +183,13 @@ class AvailabilityZone(object):
         self._background = background_load
         background_load.apply_if_due(self, self.clock.now)
 
-    def attach_preemption(self, process):
+    def attach_preemption(self, process, now=None):
         """Attach a :class:`~repro.cloudsim.adapters.PreemptionProcess`;
         seeded capacity reclaims fire lazily as the clock crosses the
-        process's interval boundaries (spot-style packs)."""
+        process's interval boundaries (spot-style packs).  The first
+        check applies at ``now`` (default: the clock)."""
         self._preempt = process
-        process.apply_if_due(self, self.clock.now)
+        process.apply_if_due(self, self._now(now))
 
     def _apply_processes(self, now):
         if self._drift is not None:

@@ -31,9 +31,6 @@ from repro.cloudsim.az import AvailabilityZone, ScalingPolicy
 from repro.cloudsim.cloud import Cloud
 from repro.cloudsim.drift import DriftProfile, DriftProcess
 from repro.cloudsim.host import HostPool
-from repro.cloudsim.network import GeoPoint
-from repro.cloudsim.provider import provider_by_name
-from repro.cloudsim.region import Region
 
 
 class ZoneSpec(object):
@@ -299,8 +296,18 @@ def zone_recipe(zone_id, spec, provider):
     return recipe
 
 
-def zone_from_recipe(recipe, clock, seed):
-    """Construct a live :class:`AvailabilityZone` from a build recipe."""
+def zone_from_recipe(recipe, clock, seed, now=None):
+    """Construct a live :class:`AvailabilityZone` from a build recipe.
+
+    ``now`` (default: ``clock.now``) is the time the zone is built *as
+    of*: it starts the scaling window and applies the drift and
+    preemption processes' first checks.  A zone built on first use
+    passes its install time, so it is the zone an eager install would
+    have left untouched until that use.  Its RNG and drift seeds are
+    keyed on ``(seed, zone_id)``, never on build order.
+    """
+    if now is None:
+        now = clock.now
     pools = [HostPool(cpu_key, hosts, slots_per_host, affinity=affinity)
              for cpu_key, hosts, slots_per_host, affinity
              in recipe["pools"]]
@@ -316,31 +323,26 @@ def zone_from_recipe(recipe, clock, seed):
     zone = AvailabilityZone(recipe["zone_id"], pools, clock,
                             keepalive=recipe["keepalive"],
                             scaling=scaling, rng=seed,
-                            keepalive_policy=keepalive_policy)
+                            keepalive_policy=keepalive_policy, now=now)
     profile = _DRIFT_FACTORIES[recipe["drift"]]()
     total_hosts = sum(p.hosts for p in pools)
     drift = DriftProcess(recipe["zone_id"], zone.cpu_slot_shares(),
                          total_hosts, profile, seed=seed)
-    zone.attach_drift(drift)
+    zone.attach_drift(drift, now=now)
     preemption = recipe.get("preemption")
     if preemption is not None:
         interval_s, fraction = preemption
         zone.attach_preemption(PreemptionProcess(
-            recipe["zone_id"], interval_s, fraction, seed=seed))
+            recipe["zone_id"], interval_s, fraction, seed=seed), now=now)
     return zone
 
 
-def _build_zone(zone_id, spec, provider, clock, seed):
-    return zone_from_recipe(zone_recipe(zone_id, spec, provider), clock,
-                            seed)
-
-
 def build_global_catalog(seed=0, clock=None, aws_only=False):
-    """Construct a fully-populated :class:`Cloud` with all 41 regions.
+    """Construct a :class:`Cloud` holding all 41 catalog regions.
 
     ``aws_only=True`` restricts the sky to AWS Lambda, which is what the
     paper does for EX-3 through EX-5 after finding no heterogeneity on the
-    other providers.
+    other providers.  Zones build on first use (see :func:`install_catalog`).
     """
     cloud = Cloud(clock=clock, seed=seed)
     install_catalog(cloud, aws_only=aws_only)
@@ -351,51 +353,20 @@ def install_catalog(cloud, aws_only=False, regions=None):
     """Install catalog regions into an existing :class:`Cloud`.
 
     ``regions`` optionally restricts installation to a subset of region
-    names (useful for focused tests that do not need the whole planet).
+    names (useful for focused tests that do not need the whole planet);
+    scenario-pack regions install only when named there.  A named region
+    that is not in the catalog, or that ``aws_only`` filters out, raises
+    :class:`~repro.common.errors.ConfigurationError`.
+
+    This is :func:`~repro.cloudsim.shared_catalog.install_plan` over the
+    process's memoized :func:`~repro.cloudsim.shared_catalog.catalog_plan`:
+    each zone is registered now and built the first time it is used.
     """
-    aws = provider_by_name("aws")
-    for name in sorted(AWS_REGION_SPECS):
-        if regions is not None and name not in regions:
-            continue
-        lat, lon, zones = AWS_REGION_SPECS[name]
-        region = Region(name, aws, GeoPoint(lat, lon))
-        for suffix in sorted(zones):
-            zone_id = name + suffix
-            region.add_zone(_build_zone(zone_id, zones[suffix], aws,
-                                        cloud.clock, cloud.seed))
-        cloud.add_region(region)
-    if aws_only:
-        return cloud
-    for provider_name, specs in (("ibm", IBM_REGION_SPECS),
-                                 ("do", DO_REGION_SPECS)):
-        provider = provider_by_name(provider_name)
-        for name in sorted(specs):
-            if regions is not None and name not in regions:
-                continue
-            lat, lon, spec = specs[name]
-            region = Region(name, provider, GeoPoint(lat, lon))
-            region.add_zone(_build_zone(name, spec, provider, cloud.clock,
-                                        cloud.seed))
-            cloud.add_region(region)
-    # Scenario-pack regions install only when named explicitly — never as
-    # part of the default 41-region sky.
-    if regions is not None:
-        for provider_name in sorted(PACK_REGION_SPECS):
-            specs = PACK_REGION_SPECS[provider_name]
-            wanted = sorted(n for n in specs if n in regions)
-            if not wanted:
-                continue
-            provider = provider_by_name(provider_name)
-            for name in wanted:
-                lat, lon, zones = specs[name]
-                region = Region(name, provider, GeoPoint(lat, lon))
-                for suffix in sorted(zones):
-                    zone_id = name + suffix
-                    region.add_zone(_build_zone(zone_id, zones[suffix],
-                                                provider, cloud.clock,
-                                                cloud.seed))
-                cloud.add_region(region)
-    return cloud
+    # Imported here: shared_catalog imports this module.
+    from repro.cloudsim.shared_catalog import catalog_plan, install_plan
+
+    return install_plan(cloud, catalog_plan(), aws_only=aws_only,
+                        regions=regions)
 
 
 def catalog_region_names(provider=None):

@@ -254,7 +254,11 @@ class Cloud(object):
         self.rng = derive_rng(seed, "cloud")
         self.network = network or NetworkModel()
         self.regions = {}
-        self._zone_index = {}
+        #: zone_id -> region, for every zone registered (built or not).
+        self._zone_regions = {}
+        #: zone_id -> zone, for the zones built so far: the one dict hit
+        #: :meth:`zone` makes per poll and per flush.
+        self._zones = {}
         self.accounts = {}
         self._deployments = {}
         self._new_request_id = make_id_factory("req")
@@ -264,38 +268,48 @@ class Cloud(object):
 
     # -- observability ------------------------------------------------------------
     def attach_bus(self, bus):
-        """Opt in to observability: wire ``bus`` through every zone and
-        host pool.  Zones added later inherit it automatically."""
+        """Opt in to observability: wire ``bus`` through every built zone
+        and host pool.  Zones built later adopt it as they are built."""
         self.bus = bus
-        for region, zone in self._zone_index.values():
+        for zone in self._zones.values():
             zone.attach_bus(bus)
         return bus
 
     # -- fault injection -----------------------------------------------------------
     def attach_faults(self, injector):
-        """Opt in to fault injection: wire ``injector`` through every zone.
-        Zones added later inherit it automatically."""
+        """Opt in to fault injection: wire ``injector`` through every built
+        zone.  Zones built later adopt it as they are built."""
         self.faults = injector
-        for region, zone in self._zone_index.values():
+        for zone in self._zones.values():
             zone.attach_faults(injector)
         return injector
 
     # -- topology ---------------------------------------------------------------
     def add_region(self, region):
+        """Add ``region``; its unbuilt zones build on first use."""
         if region.name in self.regions:
             raise ConfigurationError(
                 "duplicate region {!r}".format(region.name))
-        self.regions[region.name] = region
-        for zone_id, zone in region.zones.items():
-            if zone_id in self._zone_index:
+        for zone_id in region.zones:
+            if zone_id in self._zone_regions:
                 raise ConfigurationError(
                     "duplicate zone {!r}".format(zone_id))
-            self._zone_index[zone_id] = (region, zone)
-            if self.bus is not NULL_BUS:
-                zone.attach_bus(self.bus)
-            if self.faults is not NULL_INJECTOR:
-                zone.attach_faults(self.faults)
+        self.regions[region.name] = region
+        for zone_id in region.zones:
+            self._zone_regions[zone_id] = region
+        region.zones.on_build = self._adopt_zone
+        for zone in region.zones.built():
+            self._adopt_zone(zone)
         return region
+
+    def _adopt_zone(self, zone):
+        """Index a newly built zone and wire in the current bus, then the
+        current faults — exactly what an eagerly built zone received."""
+        self._zones[zone.zone_id] = zone
+        if self.bus is not NULL_BUS:
+            zone.attach_bus(self.bus)
+        if self.faults is not NULL_INJECTOR:
+            zone.attach_faults(self.faults)
 
     def region(self, name):
         try:
@@ -304,14 +318,15 @@ class Cloud(object):
             raise UnknownRegionError(name)
 
     def zone(self, zone_id):
+        """The zone ``zone_id``, built on its first use."""
         try:
-            return self._zone_index[zone_id][1]
+            return self._zones[zone_id]
         except KeyError:
-            raise UnknownZoneError(zone_id)
+            return self.region_of_zone(zone_id).zones[zone_id]
 
     def region_of_zone(self, zone_id):
         try:
-            return self._zone_index[zone_id][0]
+            return self._zone_regions[zone_id]
         except KeyError:
             raise UnknownZoneError(zone_id)
 

@@ -1,7 +1,58 @@
 """Regions: named groups of availability zones with a geographic location."""
 
+from collections.abc import Mapping
+
 from repro.common.errors import ConfigurationError, UnknownZoneError
 from repro.cloudsim.network import GeoPoint
+
+
+class ZoneMap(Mapping):
+    """A region's zones by id, in registration order.
+
+    A zone is either added built (:meth:`Region.add_zone`) or registered
+    with a zero-argument builder (:meth:`Region.register_zone`) and built
+    the first time it is looked up.  ``len``, ``in`` and iteration over
+    ids build nothing; ``zones[id]``, ``values()``, ``items()`` and
+    ``get()`` build what they return.  ``on_build`` (set by the owning
+    :class:`~repro.cloudsim.cloud.Cloud`) is called with each zone as it
+    is built.
+    """
+
+    __slots__ = ("_zones", "_builders", "on_build")
+
+    def __init__(self):
+        #: zone_id -> zone, or None while it is still unbuilt.
+        self._zones = {}
+        self._builders = {}
+        self.on_build = None
+
+    def __getitem__(self, zone_id):
+        zone = self._zones[zone_id]
+        if zone is None:
+            zone = self._builders[zone_id]()
+            del self._builders[zone_id]
+            self._zones[zone_id] = zone
+            if self.on_build is not None:
+                self.on_build(zone)
+        return zone
+
+    def __iter__(self):
+        return iter(self._zones)
+
+    def __len__(self):
+        return len(self._zones)
+
+    def __contains__(self, zone_id):
+        return zone_id in self._zones
+
+    def built(self):
+        """The zones built so far, in registration order."""
+        return [zone for zone in self._zones.values() if zone is not None]
+
+    def _insert(self, zone_id, zone, builder=None):
+        self._zones[zone_id] = zone
+        if builder is not None:
+            self._builders[zone_id] = builder
 
 
 class Region(object):
@@ -13,15 +64,24 @@ class Region(object):
         self.name = name
         self.provider = provider
         self.geo = geo
-        self.zones = {}
+        self.zones = ZoneMap()
 
     def add_zone(self, zone):
-        if zone.zone_id in self.zones:
+        """Add an already built zone."""
+        self._check_new(zone.zone_id)
+        self.zones._insert(zone.zone_id, zone)
+        return zone
+
+    def register_zone(self, zone_id, builder):
+        """Register ``zone_id``; ``builder()`` builds it on first use."""
+        self._check_new(zone_id)
+        self.zones._insert(zone_id, None, builder)
+
+    def _check_new(self, zone_id):
+        if zone_id in self.zones:
             raise ConfigurationError(
                 "duplicate zone {!r} in region {!r}".format(
-                    zone.zone_id, self.name))
-        self.zones[zone.zone_id] = zone
-        return zone
+                    zone_id, self.name))
 
     def zone(self, zone_id):
         try:

@@ -10,17 +10,21 @@ into two phases:
    region: provider name, geo coordinates, and each zone's build recipe
    (:func:`repro.cloudsim.catalog.zone_recipe`).  Computed once per
    process and memoized; plans are picklable and never mutated.
-2. **Install** (:func:`install_plan`) — materialize live zones from the
-   plan into a :class:`~repro.cloudsim.cloud.Cloud`, honouring the same
-   ``aws_only`` / ``regions`` filters and the same region/zone ordering
-   as :func:`~repro.cloudsim.catalog.install_catalog` (which remains the
-   executable reference; an equivalence test pins the two together).
+2. **Install** (:func:`install_plan`) — register the plan's regions in
+   a :class:`~repro.cloudsim.cloud.Cloud`, honouring the ``aws_only`` /
+   ``regions`` filters.  It is the only install path:
+   :func:`~repro.cloudsim.catalog.install_catalog` and
+   :func:`~repro.cloudsim.catalog.build_global_catalog` call it with the
+   memoized plan.  Zones are built on first use, as of install time.
 
 Each sweep worker memoizes its own plan on its first
 :meth:`CloudSpec.build`; every later build in that worker reuses it, so
 the spec tables are resolved once per process, not once per cell.
 """
 
+from functools import partial
+
+from repro.common.errors import ConfigurationError
 from repro.cloudsim.catalog import (
     AWS_REGION_SPECS,
     DO_REGION_SPECS,
@@ -41,10 +45,10 @@ def catalog_plan():
     """The full catalog as pure data, memoized per process.
 
     A tuple of region entries ``{"name", "provider", "lat", "lon",
-    "zones": (recipe, ...)}`` in exactly the order
-    :func:`install_catalog` installs them: AWS regions sorted by name,
-    then IBM, then Digital Ocean.  Filtering (``aws_only``/``regions``)
-    happens at install time so one plan serves every restriction.
+    "zones": (recipe, ...)}`` in install order: AWS regions sorted by
+    name, then IBM, then Digital Ocean, then the scenario packs.
+    Filtering (``aws_only``/``regions``) happens at install time so one
+    plan serves every restriction.
     """
     global _PLAN
     if _PLAN is None:
@@ -70,8 +74,7 @@ def catalog_plan():
                 })
         # Scenario-pack regions ride the same plan (adapters survive the
         # pickle round-trip with it), flagged so install_plan only
-        # materializes them when explicitly named — mirroring
-        # install_catalog's opt-in behaviour.
+        # installs them when explicitly named.
         for provider_name in sorted(PACK_REGION_SPECS):
             pack_specs = PACK_REGION_SPECS[provider_name]
             provider = provider_by_name(provider_name)
@@ -89,27 +92,56 @@ def catalog_plan():
 
 
 def install_plan(cloud, plan, aws_only=False, regions=None):
-    """Install ``plan``'s regions into ``cloud``.
+    """Install ``plan``'s regions into ``cloud``: the one install path.
 
-    Mirrors :func:`~repro.cloudsim.catalog.install_catalog` exactly —
-    same filters, same ordering, same zone construction (both funnel
-    through :func:`zone_from_recipe`) — so a plan-based build is
-    indistinguishable from a table-based one.
+    Each zone is *registered* with its recipe and the clock time now, and
+    built by :func:`zone_from_recipe` as of that time the first time
+    anything asks for it (:class:`~repro.cloudsim.region.ZoneMap`), so a
+    sky costs only the zones its run touches.  ``aws_only`` keeps AWS
+    regions; ``regions`` keeps the named ones, and scenario-pack regions
+    install only when named.  A named region the catalog lacks, or that
+    ``aws_only`` filters out, raises :class:`ConfigurationError` before
+    anything is installed.
     """
+    selected = []
     for entry in plan:
+        if regions is None:
+            if entry.get("pack"):
+                continue
+        elif entry["name"] not in regions:
+            continue
         if aws_only and entry["provider"] != "aws":
             continue
-        if regions is not None and entry["name"] not in regions:
-            continue
-        if entry.get("pack") and regions is None:
-            # Pack regions are opt-in: installed only when named.
-            continue
+        selected.append(entry)
+    if regions is not None and len(selected) < len(set(regions)):
+        raise _dropped_regions_error(plan, regions, selected)
+    clock = cloud.clock
+    seed = cloud.seed
+    installed_at = clock.now
+    for entry in selected:
         provider = provider_by_name(entry["provider"])
         region = Region(entry["name"], provider,
                         GeoPoint(entry["lat"], entry["lon"]))
         for recipe in entry["zones"]:
-            region.add_zone(zone_from_recipe(recipe, cloud.clock,
-                                             cloud.seed))
+            region.register_zone(recipe["zone_id"], partial(
+                zone_from_recipe, recipe, clock, seed, now=installed_at))
         cloud.add_region(region)
     return cloud
 
+
+def _dropped_regions_error(plan, regions, selected):
+    """Name each requested region ``install_plan`` would not install."""
+    providers = {entry["name"]: entry["provider"] for entry in plan}
+    dropped = sorted(set(regions) - {entry["name"] for entry in selected})
+    problems = []
+    unknown = [name for name in dropped if name not in providers]
+    if unknown:
+        problems.append("not in the catalog: {}".format(", ".join(unknown)))
+    # A known region is dropped only by the aws_only filter.
+    off_aws = [name for name in dropped if name in providers]
+    if off_aws:
+        problems.append("not on AWS, but aws_only=True: {}".format(
+            ", ".join(off_aws)))
+    return ConfigurationError(
+        "requested regions would not install ({})".format(
+            "; ".join(problems)))

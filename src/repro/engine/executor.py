@@ -52,10 +52,13 @@ _FORKSERVER_LOCK = threading.Lock()
 #: lazily: :mod:`repro.obs.ship` (every cell's ``CloudSpec.build`` asks
 #: for the active telemetry capture) and :mod:`repro.core.study` (study
 #: cells); each would cost every worker an import on its first cell.
+#: :mod:`concurrent.futures.process` is what each pool worker imports to
+#: unpickle its process object, before it runs anything.
 #: :mod:`repro.engine.forkserver_init` comes last: it memoizes the
 #: catalog plan and freezes the heap the others built.
-FORKSERVER_PRELOAD = ("repro", "numpy.random", "repro.obs.ship",
-                      "repro.core.study", "repro.engine.forkserver_init")
+FORKSERVER_PRELOAD = ("repro", "numpy.random", "concurrent.futures.process",
+                      "repro.obs.ship", "repro.core.study",
+                      "repro.engine.forkserver_init")
 
 
 def _start_forkserver(context):

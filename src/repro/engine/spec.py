@@ -7,8 +7,9 @@ value object describing *how* to build its private sky, and the worker
 materializes it locally with :meth:`CloudSpec.build`.
 
 A spec restricted to the regions a cell actually touches (see
-:meth:`CloudSpec.for_zones`) keeps per-worker construction to a couple of
-milliseconds even though the full catalog spans 41 regions.
+:meth:`CloudSpec.for_zones`) registers only those regions, and each zone
+is built only when the cell first uses it, although the full catalog
+spans 41 regions.
 """
 
 from repro.common.errors import ConfigurationError
@@ -69,10 +70,14 @@ class CloudSpec(object):
         the capture bus is attached so the cell's events are buffered for
         shipping — task code needs no telemetry-aware parameters.
 
-        Zones come from the memoized catalog *plan*
+        Regions come from the memoized catalog *plan*
         (:mod:`repro.cloudsim.shared_catalog`), so the spec tables are
-        resolved once per process, not per cell, and the result is
-        identical to :func:`~repro.cloudsim.catalog.install_catalog`.
+        resolved once per process, not per cell.  Each zone is built on
+        first use, as of this build's clock time, so a cell pays only for
+        the zones it touches.  A named region the catalog lacks, or that
+        ``aws_only`` filters out, raises
+        :class:`~repro.common.errors.ConfigurationError` here (not in the
+        constructor, which sweeps call per cell).
         """
         cloud = Cloud(seed=self.seed)
         install_plan(cloud, catalog_plan(), aws_only=self.aws_only,

@@ -365,6 +365,7 @@ SWEEP_SCRIPT = textwrap.dedent("""\
     import gc, sys
     PRELOADED = "repro" in sys.modules
     PRELOADED_RANDOM = "numpy.random" in sys.modules
+    PRELOADED_FUTURES = "concurrent.futures.process" in sys.modules
     FROZEN = gc.get_freeze_count()
     _catalog = sys.modules.get("repro.cloudsim.shared_catalog")
     PLAN_WARM = _catalog is not None and _catalog._PLAN is not None
@@ -396,6 +397,7 @@ SWEEP_SCRIPT = textwrap.dedent("""\
         def run(self):
             return {"preloaded": PRELOADED,
                     "preloaded_random": PRELOADED_RANDOM,
+                    "preloaded_futures": PRELOADED_FUTURES,
                     "frozen": FROZEN,
                     "plan_warm": PLAN_WARM,
                     "repro": repro.__file__,
@@ -462,6 +464,7 @@ class TestForkserverPreload(object):
         for probe in report["probes"]:
             assert probe["preloaded"]
             assert probe["preloaded_random"]
+            assert probe["preloaded_futures"]
             assert probe["frozen"] > 1000  # the preloaded heap
             assert probe["plan_warm"]
             assert probe["repro"] == report["repro"]
@@ -474,7 +477,8 @@ class TestForkserverPreload(object):
         # The sweep went through the server started without the
         # preload: slower, same results.
         assert report["mode"] == "pool"
-        assert not any(probe["preloaded"] for probe in report["probes"])
+        assert not any(probe["preloaded"] or probe["preloaded_futures"]
+                       for probe in report["probes"])
         assert not any(probe["frozen"] or probe["plan_warm"]
                        for probe in report["probes"])
 

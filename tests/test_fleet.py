@@ -634,6 +634,20 @@ class TestFleetChaos:
 # the real thing: SIGKILL a recorded subprocess sweep, then --resume
 # ---------------------------------------------------------------------------
 
+_PARK_AFTER_FIRST_CHUNK = """
+import sys, time
+from repro.cli import main
+from repro.engine.journal import ChunkJournal
+_append = ChunkJournal.append
+def _append_then_park(self, *args, **kwargs):
+    _append(self, *args, **kwargs)
+    while True:
+        time.sleep(1.0)
+ChunkJournal.append = _append_then_park
+sys.exit(main(sys.argv[1:]))
+"""
+
+
 class TestKillNineResume:
     def test_sigkilled_sweep_resumes_byte_identical(self, tmp_path):
         src = os.path.dirname(os.path.dirname(os.path.abspath(
@@ -649,16 +663,21 @@ class TestKillNineResume:
                        env=env, check=True, capture_output=True,
                        timeout=300)
 
+        # A chunk takes about a millisecond, so a victim left to run would
+        # race the poll below to the end of the sweep.  It parks instead
+        # right after its first durable journal append, which makes the
+        # external kill -9 land mid-sweep on every run.
         victim = subprocess.Popen(
-            base + ["--workers", "1", "--chunk", "1", "--record",
-                    run_dir, "--json", str(tmp_path / "victim.json")],
+            [sys.executable, "-c", _PARK_AFTER_FIRST_CHUNK]
+            + base[3:] + ["--workers", "1", "--chunk", "1", "--record",
+                          run_dir, "--json", str(tmp_path / "victim.json")],
             env=env, stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL)
         journal_path = os.path.join(run_dir, CHUNKS_FILE)
         deadline = time.monotonic() + 240.0
         journaled = 0
         try:
-            # Wait until at least one chunk is journaled, then kill -9.
+            # Wait until the first chunk is journaled, then kill -9.
             while time.monotonic() < deadline:
                 if os.path.exists(journal_path):
                     with open(journal_path) as handle:
@@ -675,9 +694,9 @@ class TestKillNineResume:
         finally:
             if victim.poll() is None:
                 victim.kill()
-        if journaled == 0 or journaled >= 6:
-            pytest.skip("scheduling never produced a partial journal "
-                        "({} of 6 chunks)".format(journaled))
+        assert victim.returncode == -signal.SIGKILL
+        assert journaled == 1
+        assert len(ChunkJournal(run_dir).load()) == 1
 
         resumed_json = str(tmp_path / "resumed.json")
         subprocess.run(

@@ -1,14 +1,24 @@
 """The shared catalog plan (``repro.cloudsim.shared_catalog``).
 
-``install_catalog`` stays the executable reference; these tests pin the
-plan-based build (memoized once per process) to it — same regions, same
-zones, same pool/scaling parameters, same seeded outcomes.
+``install_plan`` over the memoized plan is the only install path.  These
+tests pin the plan to the spec tables (every recipe equals a fresh
+``zone_recipe``, in install order) and the install to the plan's order
+and filters.
 """
 
 import pytest
 
 from repro.cloudsim import Cloud
-from repro.cloudsim.catalog import install_catalog
+from repro.common.errors import ConfigurationError
+from repro.cloudsim.catalog import (
+    AWS_REGION_SPECS,
+    DO_REGION_SPECS,
+    IBM_REGION_SPECS,
+    PACK_REGION_SPECS,
+    install_catalog,
+    zone_recipe,
+)
+from repro.cloudsim.provider import provider_by_name
 from repro.cloudsim.shared_catalog import catalog_plan, install_plan
 from repro.engine import CampaignTask, CloudSpec, SweepEngine
 
@@ -33,17 +43,62 @@ def _cloud_signature(cloud):
     return signature
 
 
+def _spec_table_walk():
+    """``(region, provider, lat, lon, [(zone_id, ZoneSpec)])`` straight
+    from the spec tables, in install order: AWS by name, IBM, Digital
+    Ocean, then each pack provider's regions."""
+    walk = []
+    for name in sorted(AWS_REGION_SPECS):
+        lat, lon, zones = AWS_REGION_SPECS[name]
+        walk.append((name, "aws", lat, lon,
+                     [(name + s, zones[s]) for s in sorted(zones)]))
+    for provider, specs in (("ibm", IBM_REGION_SPECS),
+                            ("do", DO_REGION_SPECS)):
+        for name in sorted(specs):
+            lat, lon, spec = specs[name]
+            walk.append((name, provider, lat, lon, [(name, spec)]))
+    for provider in sorted(PACK_REGION_SPECS):
+        for name in sorted(PACK_REGION_SPECS[provider]):
+            lat, lon, zones = PACK_REGION_SPECS[provider][name]
+            walk.append((name, provider, lat, lon,
+                         [(name + s, zones[s]) for s in sorted(zones)]))
+    return walk
+
+
+def test_plan_recipes_match_fresh_spec_table_recipes():
+    plan = catalog_plan()
+    walk = _spec_table_walk()
+    assert [entry["name"] for entry in plan] == [row[0] for row in walk]
+    for entry, (name, provider, lat, lon, zones) in zip(plan, walk):
+        assert (entry["provider"], entry["lat"], entry["lon"]) == \
+            (provider, lat, lon)
+        assert bool(entry.get("pack")) == (provider in PACK_REGION_SPECS)
+        assert list(entry["zones"]) == [
+            zone_recipe(zone_id, spec, provider_by_name(provider))
+            for zone_id, spec in zones]
+
+
 @pytest.mark.parametrize("filters", [
     {"aws_only": True},
     {"aws_only": False},
     {"aws_only": False, "regions": ("us-west-1", "lon1")},
     {"aws_only": True, "regions": ("us-west-1",)},
+    {"aws_only": False, "regions": ("spot-us-1", "eu-de", "us-east-2")},
 ])
-def test_plan_install_matches_install_catalog(filters):
-    reference = install_catalog(Cloud(seed=7), **filters)
-    planned = install_plan(Cloud(seed=7), catalog_plan(), **filters)
-    assert _cloud_signature(planned) == _cloud_signature(reference)
-    assert list(planned.regions) == list(reference.regions)
+def test_install_follows_plan_order_and_filters(filters):
+    cloud = install_plan(Cloud(seed=7), catalog_plan(), **filters)
+    regions = filters.get("regions")
+    expected = [entry for entry in catalog_plan()
+                if (regions is None and not entry.get("pack"))
+                or (regions is not None and entry["name"] in regions)]
+    expected = [entry for entry in expected
+                if not filters["aws_only"] or entry["provider"] == "aws"]
+    assert list(cloud.regions) == [entry["name"] for entry in expected]
+    assert cloud.zone_ids() == sorted(
+        recipe["zone_id"] for entry in expected
+        for recipe in entry["zones"])
+    assert _cloud_signature(install_catalog(Cloud(seed=7), **filters)) == \
+        _cloud_signature(cloud)
 
 
 def test_plan_is_memoized_and_immutable():
@@ -51,20 +106,6 @@ def test_plan_is_memoized_and_immutable():
     assert isinstance(catalog_plan(), tuple)
     for entry in catalog_plan():
         assert isinstance(entry["zones"], tuple)
-
-
-def test_seeded_outcomes_identical_across_construction_paths():
-    polls = []
-    for install in (
-        lambda cloud: install_catalog(cloud, aws_only=True),
-        lambda cloud: install_plan(cloud, catalog_plan(), aws_only=True),
-    ):
-        cloud = install(Cloud(seed=13))
-        account = cloud.create_account("acct", "aws")
-        deployment = cloud.deploy(account, "us-west-1a", "fn", 1024)
-        result = cloud.poll_batch(deployment, 400)
-        polls.append(result.aggregate_key())
-    assert polls[0] == polls[1]
 
 
 class TestCloudSpecBuild(object):
@@ -96,3 +137,47 @@ class TestEngineIntegration(object):
         assert engine.last_mode == "pool"
         assert [r.ground_truth().shares() for r in pooled] == \
             [r.ground_truth().shares() for r in serial]
+
+
+class TestLoudRegionFilters(object):
+    """A requested region that would not install raises, naming it."""
+
+    def test_unknown_region_next_to_a_known_one(self):
+        spec = CloudSpec(seed=1, regions=("us-west-1", "nope"))
+        with pytest.raises(ConfigurationError, match="catalog: nope"):
+            spec.build()
+
+    def test_region_filtered_out_by_aws_only(self):
+        spec = CloudSpec(seed=1, regions=("eu-de",))
+        with pytest.raises(ConfigurationError,
+                           match="aws_only=True: eu-de"):
+            spec.build()
+        assert list(CloudSpec(seed=1, aws_only=False,
+                              regions=("eu-de",)).build().regions) == \
+            ["eu-de"]
+
+    def test_pack_region_filtered_out_by_aws_only(self):
+        with pytest.raises(ConfigurationError,
+                           match="aws_only=True: spot-us-1"):
+            install_catalog(Cloud(seed=1), aws_only=True,
+                            regions=("us-west-1", "spot-us-1"))
+
+    def test_install_catalog_names_every_dropped_region_and_installs_none(
+            self):
+        cloud = Cloud(seed=1)
+        with pytest.raises(ConfigurationError) as raised:
+            install_catalog(cloud, aws_only=True,
+                            regions=["nope", "us-west-1", "eu-gb", "zz"])
+        message = str(raised.value)
+        assert "not in the catalog: nope, zz" in message
+        assert "aws_only=True: eu-gb" in message
+        assert cloud.regions == {}
+
+    def test_install_catalog_with_only_an_unknown_region(self):
+        with pytest.raises(ConfigurationError, match="catalog: nope"):
+            install_catalog(Cloud(seed=1), regions=["nope"])
+
+    def test_spec_construction_does_not_validate(self):
+        # Sweeps build one spec per cell: validation waits for build().
+        spec = CloudSpec(seed=1, regions=("nope",))
+        assert spec.regions == ("nope",)
