@@ -197,10 +197,6 @@ def build_parser():
                             "(default 30)")
     sweep.add_argument("--progress", action="store_true",
                        help="print per-cell progress to stderr")
-    sweep.add_argument("--lazy", action="store_true",
-                       help="keep worker results pickled until each cell "
-                            "is reported (bounded coordinator memory on "
-                            "observation-heavy grids)")
     sweep.add_argument("--telemetry", action="store_true",
                        help="ship worker-side events/metrics/spans back "
                             "to the coordinator (merged trace + "
@@ -1008,8 +1004,7 @@ def _sweep_engine(args):
                        journal=getattr(args, "record", None),
                        resume=getattr(args, "resume", None),
                        worker_log_dir=getattr(args, "worker_log_dir",
-                                              None),
-                       lazy=getattr(args, "lazy", False))
+                                              None))
 
 
 def _sweep_token(args):
@@ -1095,19 +1090,6 @@ def cmd_sweep(args, out):
     return 0
 
 
-def _lazy_decode(args, results):
-    """With ``--lazy``, decode sweep results one cell at a time.
-
-    The engine returned :class:`~repro.engine.lazy.LazyPayload`
-    envelopes; reporting consumes them through a generator so only one
-    materialized result is alive at any moment.
-    """
-    if not getattr(args, "lazy", False):
-        return results
-    from repro.engine import load_payload
-    return (load_payload(result) for result in results)
-
-
 def _run_sweep(args, out, engine):
     """Dispatch one sweep kind; returns ``(grid, json_cells)``."""
     from repro.engine import (
@@ -1137,7 +1119,6 @@ def _run_sweep(args, out, engine):
                 key["zone"], endpoints=args.endpoints,
                 n_requests=args.requests, max_polls=max_polls))
         results = engine.run(tasks, grid_hash=grid.content_hash())
-        results = _lazy_decode(args, results)
         out.write("{} sweep: {} cells ({} zones x {} seeds)\n".format(
             args.kind, len(grid), len(zones), len(seeds)))
         json_cells = []
@@ -1206,7 +1187,6 @@ def _run_sweep(args, out, engine):
                 polls_per_period=max(args.polls, 1),
                 endpoints=args.endpoints, n_requests=args.requests))
         results = engine.run(tasks, grid_hash=grid.content_hash())
-        results = _lazy_decode(args, results)
         out.write("temporal sweep ({}): {} cells ({} zones x {} seeds), "
                   "{} periods\n".format(args.temporal_mode, len(grid),
                                         len(zones), len(seeds),
@@ -1256,7 +1236,6 @@ def _run_sweep(args, out, engine):
             burst_size=args.burst)
             for cell in grid.cells()]
         results = engine.run(tasks, grid_hash=grid.content_hash())
-        results = _lazy_decode(args, results)
         out.write("study sweep: {} cells ({} workloads x {} seeds), "
                   "{} days, burst {}\n".format(
                       len(grid), len(workloads), len(seeds), args.days,

@@ -12,6 +12,8 @@ talks to the cloud exclusively through:
   must land elsewhere.
 """
 
+import functools
+
 import numpy as np
 
 from repro.common.distributions import CategoricalDistribution
@@ -297,10 +299,18 @@ class Cloud(object):
         self.regions[region.name] = region
         for zone_id in region.zones:
             self._zone_regions[zone_id] = region
+        region.zones.on_register = functools.partial(self._index_zone,
+                                                     region)
         region.zones.on_build = self._adopt_zone
         for zone in region.zones.built():
             self._adopt_zone(zone)
         return region
+
+    def _index_zone(self, region, zone_id):
+        """Index a zone added to ``region`` after the region joined."""
+        if zone_id in self._zone_regions:
+            raise ConfigurationError("duplicate zone {!r}".format(zone_id))
+        self._zone_regions[zone_id] = region
 
     def _adopt_zone(self, zone):
         """Index a newly built zone and wire in the current bus, then the

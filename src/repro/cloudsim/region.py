@@ -13,17 +13,19 @@ class ZoneMap(Mapping):
     with a zero-argument builder (:meth:`Region.register_zone`) and built
     the first time it is looked up.  ``len``, ``in`` and iteration over
     ids build nothing; ``zones[id]``, ``values()``, ``items()`` and
-    ``get()`` build what they return.  ``on_build`` (set by the owning
-    :class:`~repro.cloudsim.cloud.Cloud`) is called with each zone as it
-    is built.
+    ``get()`` build what they return.  The owning
+    :class:`~repro.cloudsim.cloud.Cloud` sets two hooks: ``on_register``
+    is called with each zone id before it joins the map (and may refuse
+    it), ``on_build`` with each zone as it is built or added built.
     """
 
-    __slots__ = ("_zones", "_builders", "on_build")
+    __slots__ = ("_zones", "_builders", "on_register", "on_build")
 
     def __init__(self):
         #: zone_id -> zone, or None while it is still unbuilt.
         self._zones = {}
         self._builders = {}
+        self.on_register = None
         self.on_build = None
 
     def __getitem__(self, zone_id):
@@ -50,9 +52,13 @@ class ZoneMap(Mapping):
         return [zone for zone in self._zones.values() if zone is not None]
 
     def _insert(self, zone_id, zone, builder=None):
+        if self.on_register is not None:
+            self.on_register(zone_id)
         self._zones[zone_id] = zone
         if builder is not None:
             self._builders[zone_id] = builder
+        elif self.on_build is not None:
+            self.on_build(zone)
 
 
 class Region(object):

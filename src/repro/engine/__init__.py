@@ -31,7 +31,6 @@ See ``python -m repro sweep --help`` for the CLI front end.
 from repro.common.lazy_exports import lazy_getattr
 from repro.engine.executor import BACKENDS, SweepEngine, run_sweep
 from repro.engine.grid import Cell, Grid
-from repro.engine.lazy import LazyPayload, load_payload
 from repro.engine.spec import CloudSpec
 from repro.engine.tasks import (
     DEFAULT_POLICY_SPECS,
@@ -52,7 +51,6 @@ __all__ = [
     "CloudSpec",
     "FaultyTransport",
     "Grid",
-    "LazyPayload",
     "SweepCoordinator",
     "SweepEngine",
     "SweepProgress",
@@ -69,7 +67,6 @@ __all__ = [
     "client_auth",
     "connect",
     "guard_hash_for_tasks",
-    "load_payload",
     "run_task",
     "run_sweep",
     "run_worker",

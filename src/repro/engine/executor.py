@@ -154,31 +154,6 @@ def _run_chunk_shipped(chunk):
     return _run_chunk_captured(chunk)
 
 
-def _wrap_lazy(records):
-    """Wrap successful payloads as :class:`LazyPayload`, in the worker.
-
-    Failure payloads stay raw tuples — the parent's failure reporting and
-    the journal's infra-loss check read them positionally.
-    """
-    from repro.engine.lazy import LazyPayload
-
-    return [(index, ok,
-             LazyPayload.wrap(payload) if ok else payload,
-             wall_ms, pid)
-            for index, ok, payload, wall_ms, pid in records]
-
-
-def _run_chunk_lazy(chunk):
-    """Pool entry point: ``_run_chunk`` with lazily wrapped results."""
-    return _wrap_lazy(_run_chunk(chunk))
-
-
-def _run_chunk_shipped_lazy(chunk):
-    """Pool entry point: telemetry capture + lazily wrapped results."""
-    records, payloads = _run_chunk_captured(chunk)
-    return _wrap_lazy(records), payloads
-
-
 def _chunk(pairs, chunk_size):
     return [pairs[i:i + chunk_size]
             for i in range(0, len(pairs), chunk_size)]
@@ -210,7 +185,7 @@ class SweepEngine(object):
                  chunk_deadline_s=None, join_timeout_s=10.0,
                  max_requeues=1, telemetry=False, auth_token=None,
                  journal=None, resume=None, chunk_hook=None,
-                 worker_log_dir=None, lazy=False):
+                 worker_log_dir=None):
         self.workers = positive_count("workers", workers)
         if chunk_size is not None and (int(chunk_size) != chunk_size
                                        or chunk_size < 1):
@@ -254,14 +229,6 @@ class SweepEngine(object):
         #: Directory for per-worker log files when the engine spawns
         #: loopback workers (None keeps them silent).
         self.worker_log_dir = worker_log_dir
-        #: ``lazy=True`` returns results as
-        #: :class:`~repro.engine.lazy.LazyPayload` envelopes instead of
-        #: decoded objects — workers wrap each successful payload in its
-        #: own pickle bytes and the coordinator never materializes them,
-        #: so observation-heavy grids cost the parent one byte-string per
-        #: cell until the caller ``load()``s.  Results are byte-identical
-        #: after loading across every backend and worker count.
-        self.lazy = bool(lazy)
         #: How the last run actually executed: "serial", "pool",
         #: "remote", or "serial-fallback" (parallel backend requested
         #: but unavailable).
@@ -537,11 +504,7 @@ class SweepEngine(object):
         inflight = self._gauge("sweep_cells_inflight")
         if inflight is not None:
             inflight.set(sum(len(chunk) for _, chunk in plan))
-        if self._merge is None:
-            runner = _run_chunk_lazy if self.lazy else _run_chunk
-        else:
-            runner = (_run_chunk_shipped_lazy if self.lazy
-                      else _run_chunk_shipped)
+        runner = _run_chunk if self._merge is None else _run_chunk_shipped
         futures = {pool.submit(runner, chunk): (chunk_id, chunk)
                    for chunk_id, chunk in plan}
         results = state["results"]
@@ -589,7 +552,7 @@ class SweepEngine(object):
             auth_token=self.auth_token,
             emit=lambda name, **fields: self._emit(name, started,
                                                    **fields),
-            telemetry=self._merge is not None, lazy=self.lazy,
+            telemetry=self._merge is not None,
             telemetry_sink=(self._merge_remote
                             if self._merge is not None else None))
         spawned = []
@@ -682,20 +645,9 @@ class SweepEngine(object):
             gauge.set(min(1.0, (stats["busy_ms"] / 1000.0) / wall_s))
 
     def _absorb(self, record, results, failures, started, replayed=False):
-        from repro.engine.lazy import LazyPayload
-
         index, ok, payload, wall_ms, pid = record
         chunk_failure = False
         if ok:
-            # Honor the lazy contract regardless of where the record came
-            # from: serial runs and replayed journals from a non-lazy run
-            # wrap here (one extra pickle, still bounded per cell), while
-            # a lazy journal replayed into a ``lazy=False`` engine decodes
-            # back to plain results.
-            if self.lazy:
-                payload = LazyPayload.wrap(payload)
-            elif isinstance(payload, LazyPayload):
-                payload = payload.load()
             results[index] = payload
         else:
             chunk_failure = len(payload) > 2 and bool(payload[2])

@@ -27,7 +27,6 @@ resume a journal against a different grid, seed, or chunking.
 """
 
 import base64
-import binascii
 import json
 import os
 import pickle
@@ -40,6 +39,14 @@ CHUNKS_FILE = "chunks.jsonl"
 
 JOURNAL_VERSION = 1
 _JOURNAL_KIND = "repro-sweep-chunks"
+
+#: What decoding a stored entry raises when its bytes are damaged or
+#: stale: a truncated or corrupt pickle, bad base64 (``binascii.Error``
+#: is a ``ValueError``), or a class or module that no longer exists.
+#: The journal and the worker spool treat every one alike — the entry's
+#: chunk reruns.
+UNDECODABLE = (pickle.UnpicklingError, EOFError, AttributeError,
+               ImportError, KeyError, TypeError, ValueError)
 
 
 def guard_hash_for_tasks(tasks):
@@ -211,8 +218,7 @@ class ChunkJournal(object):
             records = pickle.loads(payload)
             chunk_id = int(entry["chunk"])
             indexes = [int(index) for index in entry["indexes"]]
-        except (KeyError, ValueError, TypeError, binascii.Error,
-                pickle.UnpicklingError, EOFError, AttributeError):
+        except UNDECODABLE:
             return None
         if not (0 <= chunk_id < header["chunks"]):
             return None

@@ -5,11 +5,12 @@ message.  Messages are plain tuples whose first element names the kind:
 
 * ``("hello", worker_id, pid)`` — worker → coordinator, once per
   connection;
-* ``("task", chunk_id, chunk[, want_telemetry])`` — coordinator →
-  worker; ``chunk`` is a list of ``(index, task)`` pairs, exactly what
-  the local pool's ``_run_chunk`` consumes.  The optional fourth element
-  (absent = false, so old peers interoperate) asks the worker to capture
-  and ship telemetry for the chunk;
+* ``("task", chunk_id, chunk, want_telemetry)`` — coordinator →
+  worker, always this one shape; ``chunk`` is a list of ``(index,
+  task)`` pairs, exactly what the local pool's ``_run_chunk`` consumes,
+  and ``want_telemetry`` asks the worker to capture and ship telemetry
+  for the chunk.  A worker refuses any other shape with
+  :class:`~repro.common.errors.TransportError`;
 * ``("result", chunk_id, records)`` — worker → coordinator; ``records``
   is the ``(index, ok, payload, wall_ms, pid)`` list ``_run_chunk``
   produced, so results merge through the engine's normal absorb path;

@@ -55,6 +55,7 @@ from repro.common.errors import (
     TransportError,
     TransportTimeout,
 )
+from repro.engine.journal import UNDECODABLE
 from repro.engine.protocol import Transport, connect, server_auth
 
 #: Environment variable carrying the shared sweep secret (never put it
@@ -101,7 +102,7 @@ class SweepCoordinator(object):
     def __init__(self, host="127.0.0.1", port=0, heartbeat_s=1.0,
                  chunk_deadline_s=None, join_timeout_s=10.0,
                  max_requeues=1, emit=None, telemetry=False,
-                 telemetry_sink=None, auth_token=None, lazy=False):
+                 telemetry_sink=None, auth_token=None):
         if heartbeat_s <= 0:
             raise ConfigurationError("heartbeat_s must be positive")
         if max_requeues < 0:
@@ -125,12 +126,6 @@ class SweepCoordinator(object):
         #: — requeue losers and duplicate finishers are discarded, so
         #: merged telemetry matches the accepted results exactly.
         self.telemetry = bool(telemetry)
-        #: When true, task frames ask workers to return successful
-        #: payloads as :class:`~repro.engine.lazy.LazyPayload` envelopes
-        #: (pickle bytes, decoded only when the caller loads them).  Old
-        #: workers that ignore the flag still interoperate — the engine's
-        #: ``_absorb`` wraps coordinator-side as a fallback.
-        self.lazy = bool(lazy)
         self._telemetry_sink = telemetry_sink
         self._telemetry = {}
         self.address = None
@@ -298,13 +293,7 @@ class SweepCoordinator(object):
                     continue
                 chunk_id, chunk = assignment
                 dispatched_at = time.monotonic()
-                if self.lazy:
-                    transport.send(("task", chunk_id, chunk,
-                                    self.telemetry, True))
-                elif self.telemetry:
-                    transport.send(("task", chunk_id, chunk, True))
-                else:
-                    transport.send(("task", chunk_id, chunk))
+                transport.send(("task", chunk_id, chunk, self.telemetry))
                 records = self._await_result(transport, chunk_id,
                                              worker_id, stats)
                 assignment = None
@@ -703,22 +692,18 @@ class SweepWorker(object):
             transport.close()
 
     def _serve_task(self, transport, message, outbox):
-        chunk_id, chunk = message[1], message[2]
-        want_telemetry = len(message) > 3 and bool(message[3])
-        # Lazy wrapping is worker-side so the frame (and any spool file)
-        # already holds pickle-byte envelopes; like telemetry capture it
-        # only applies to the stock runner — a custom run_chunk keeps its
-        # exact behavior and the coordinator wraps as a fallback.
-        want_lazy = (len(message) > 4 and bool(message[4])
-                     and self._default_runner)
+        try:
+            _, chunk_id, chunk, want_telemetry = message
+        except ValueError:
+            raise TransportError(
+                "malformed task frame of {} elements; expected ('task', "
+                "chunk_id, chunk, want_telemetry)".format(
+                    len(message))) from None
         if want_telemetry and self._default_runner:
             from repro.engine.executor import _run_chunk_captured
             records, _ = _run_chunk_captured(
                 chunk, worker_id=self.worker_id,
                 flush=lambda payload: outbox.put(chunk_id, payload))
-            if want_lazy:
-                from repro.engine.executor import _wrap_lazy
-                records = _wrap_lazy(records)
             try:
                 outbox.flush(transport,
                              result=("result", chunk_id, records))
@@ -727,9 +712,6 @@ class SweepWorker(object):
                 raise
         else:
             records = self._run_chunk(chunk)
-            if want_lazy:
-                from repro.engine.executor import _wrap_lazy
-                records = _wrap_lazy(records)
             try:
                 transport.send(("result", chunk_id, records))
             except TransportError:
@@ -783,8 +765,7 @@ class SweepWorker(object):
             try:
                 with open(path, "rb") as handle:
                     records = pickle.load(handle)
-            except (OSError, pickle.UnpicklingError, EOFError,
-                    AttributeError, ValueError):
+            except (OSError,) + UNDECODABLE:
                 continue  # corrupt spool entry; the chunk just reruns
             transport.send(("result", chunk_id, records))
             try:

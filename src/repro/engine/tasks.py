@@ -72,12 +72,6 @@ class CampaignSummary(object):
     campaign, which the parent process must unpickle *serially* as workers
     return.  Cells that only need the end state (``CampaignTask`` with
     ``summary=True``) ship this instead: fixed-size, a few hundred bytes.
-
-    Cells that *do* need every observation no longer have to eat that
-    unpickle cost up front: ``SweepEngine(lazy=True)`` keeps each full
-    result as a :class:`~repro.engine.lazy.LazyPayload` (pickle bytes)
-    until the caller loads it, so the summary is an aggregation choice,
-    not a memory workaround.
     """
 
     __slots__ = ("zone_id", "polls_run", "total_requests", "total_fis",

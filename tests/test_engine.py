@@ -293,10 +293,15 @@ class TestEngineMechanics(object):
         failures = excinfo.value.failures
         assert [index for index, _, _ in failures] == [0, 2]
         assert failures[0][1] == "ValueError"
+        assert [failure.message for failure in failures] == ["a", "b"]
 
     def test_serial_also_raises_sweep_error(self):
-        with pytest.raises(SweepError):
-            SweepEngine(workers=1).run([FailingTask()])
+        with pytest.raises(SweepError) as excinfo:
+            SweepEngine(workers=1).run([FailingTask("serial does not "
+                                                    "eat errors")])
+        failure = excinfo.value.failures[0]
+        assert failure.error_type == "ValueError"
+        assert failure.message == "serial does not eat errors"
 
     def test_run_sweep_wrapper(self):
         results = run_sweep([_tiny_campaign_task()], workers=1)

@@ -1,42 +1,19 @@
-"""Lazy result payloads: the coordinator never materializes what it
-doesn't read.
+"""Failure payloads stay raw and reportable.
 
-``SweepEngine(lazy=True)`` returns :class:`LazyPayload` envelopes whose
-bytes are the worker's own pickle; loading them must reproduce the eager
-run byte-for-byte across every backend, while failure payloads stay raw
-tuples so error reporting and the journal's infra-loss check keep
-working.
+Every backend returns results through one decoded path; a failing task
+must still surface as a :class:`SweepError` whose failures carry the
+original exception type and message, serially and from the pool.
 """
-
-import json
-import pickle
-import threading
 
 import pytest
 
-from repro import reporting
 from repro.common.errors import SweepError
-from repro.engine import (
-    CampaignTask,
-    CloudSpec,
-    LazyPayload,
-    SweepCoordinator,
-    SweepEngine,
-    SweepTask,
-    SweepWorker,
-    load_payload,
-)
-from repro.engine.executor import _chunk
+from repro.engine import CampaignTask, CloudSpec, SweepEngine, SweepTask
 
 
 def _tiny_task(seed=0, zone="us-west-1a"):
     return CampaignTask(CloudSpec.for_zones([zone], seed=seed), zone,
                         endpoints=3, n_requests=150, max_polls=2)
-
-
-def _dumps(results):
-    return json.dumps([reporting.campaign_to_dict(r) for r in results],
-                      sort_keys=True).encode()
 
 
 class FailingTask(SweepTask):
@@ -50,123 +27,18 @@ class FailingTask(SweepTask):
         raise ValueError(self.message)
 
 
-# -- the envelope itself ------------------------------------------------------
-
-class TestLazyPayload(object):
-    def test_wrap_load_round_trip(self):
-        wrapped = LazyPayload.wrap({"a": [1, 2, 3]})
-        assert wrapped.load() == {"a": [1, 2, 3]}
-
-    def test_wrap_is_idempotent(self):
-        wrapped = LazyPayload.wrap(("x", 1))
-        assert LazyPayload.wrap(wrapped) is wrapped
-
-    def test_repickle_is_byte_passthrough(self):
-        wrapped = LazyPayload.wrap(list(range(100)))
-        clone = pickle.loads(pickle.dumps(wrapped,
-                                          pickle.HIGHEST_PROTOCOL))
-        assert isinstance(clone, LazyPayload)
-        assert clone.data == wrapped.data
-        assert clone.load() == list(range(100))
-
-    def test_load_payload_helper(self):
-        assert load_payload(LazyPayload.wrap(7)) == 7
-        assert load_payload("already plain") == "already plain"
-
-    def test_repr_shows_size_not_content(self):
-        assert "bytes" in repr(LazyPayload.wrap({"secret": 1}))
-
-
-# -- engine integration -------------------------------------------------------
-
 class TestEngineLazy(object):
-    def test_serial_lazy_equals_eager_after_load(self):
-        tasks = [_tiny_task(s) for s in range(3)]
-        eager = SweepEngine(workers=1).run([_tiny_task(s)
-                                            for s in range(3)])
-        lazy = SweepEngine(workers=1, lazy=True).run(tasks)
-        assert all(isinstance(r, LazyPayload) for r in lazy)
-        assert _dumps([r.load() for r in lazy]) == _dumps(eager)
-
-    def test_pool_lazy_equals_eager_after_load(self):
-        eager = SweepEngine(workers=1).run([_tiny_task(s)
-                                            for s in range(4)])
-        lazy = SweepEngine(workers=2, lazy=True).run(
-            [_tiny_task(s) for s in range(4)])
-        assert all(isinstance(r, LazyPayload) for r in lazy)
-        assert _dumps([r.load() for r in lazy]) == _dumps(eager)
-
     def test_failures_stay_raw_and_reportable(self):
         with pytest.raises(SweepError) as excinfo:
-            SweepEngine(workers=1, lazy=True).run(
-                [FailingTask("lazy does not eat errors")])
+            SweepEngine(workers=1).run(
+                [FailingTask("the engine does not eat errors")])
         failure = excinfo.value.failures[0]
         assert failure.error_type == "ValueError"
-        assert "lazy does not eat errors" in failure.message
+        assert "the engine does not eat errors" in failure.message
 
     def test_pool_failures_stay_raw(self):
         with pytest.raises(SweepError) as excinfo:
-            SweepEngine(workers=2, lazy=True).run(
+            SweepEngine(workers=2).run(
                 [FailingTask("a"), _tiny_task(0), FailingTask("b")])
         assert sorted(f.message for f in excinfo.value.failures) == \
             ["a", "b"]
-
-    def test_lazy_journal_resumes_into_eager_engine(self, tmp_path):
-        """A journal written by a lazy run replays into any engine.
-
-        The journal holds ``LazyPayload`` envelopes (byte passthrough);
-        a ``lazy=False`` resume decodes them back to plain results.
-        """
-        record = str(tmp_path / "run")
-        tasks = [_tiny_task(s) for s in range(3)]
-        lazy = SweepEngine(workers=1, lazy=True, journal=record).run(tasks)
-        resumed = SweepEngine(workers=1, resume=record).run(
-            [_tiny_task(s) for s in range(3)])
-        assert all(not isinstance(r, LazyPayload) for r in resumed)
-        assert _dumps(resumed) == _dumps([r.load() for r in lazy])
-
-    def test_eager_journal_resumes_into_lazy_engine(self, tmp_path):
-        record = str(tmp_path / "run")
-        eager = SweepEngine(workers=1, journal=record).run(
-            [_tiny_task(s) for s in range(2)])
-        resumed = SweepEngine(workers=1, lazy=True, resume=record).run(
-            [_tiny_task(s) for s in range(2)])
-        assert all(isinstance(r, LazyPayload) for r in resumed)
-        assert _dumps([r.load() for r in resumed]) == _dumps(eager)
-
-
-# -- remote backend -----------------------------------------------------------
-
-class TestRemoteLazy(object):
-    def test_worker_ships_wrapped_records(self):
-        """A lazy task frame comes back as pickle-byte envelopes —
-        the coordinator side never has to decode the campaign."""
-        tasks = [_tiny_task(s) for s in range(2)]
-        eager = SweepEngine(workers=1).run([_tiny_task(s)
-                                            for s in range(2)])
-        coordinator = SweepCoordinator(heartbeat_s=0.5,
-                                       join_timeout_s=15.0, lazy=True)
-        results = [None] * len(tasks)
-        with coordinator:
-            host, port = coordinator.address
-            worker = SweepWorker(host, port, worker_id="lazy-0",
-                                 heartbeat_s=0.1)
-            thread = threading.Thread(target=worker.run, daemon=True)
-            thread.start()
-            chunks = _chunk(list(enumerate(tasks)), 1)
-            for index, ok, payload, _, _ in coordinator.run(chunks):
-                assert ok, payload
-                assert isinstance(payload, LazyPayload)
-                results[index] = payload
-            thread.join(timeout=10.0)
-        assert _dumps([r.load() for r in results]) == _dumps(eager)
-
-    def test_engine_remote_lazy_equals_eager(self):
-        eager = SweepEngine(workers=1).run([_tiny_task(s)
-                                            for s in range(2)])
-        engine = SweepEngine(workers=2, backend="remote",
-                             remote_workers=2, lazy=True,
-                             join_timeout_s=30.0)
-        lazy = engine.run([_tiny_task(s) for s in range(2)])
-        assert all(isinstance(r, LazyPayload) for r in lazy)
-        assert _dumps([r.load() for r in lazy]) == _dumps(eager)

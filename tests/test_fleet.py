@@ -7,6 +7,8 @@ spooling across coordinator loss, the hang-not-crash requeue path, the
 coordinator close() lifecycle, and the seeded FleetChaos schedule.
 """
 
+import base64
+import json
 import os
 import pickle
 import signal
@@ -15,6 +17,7 @@ import subprocess
 import sys
 import threading
 import time
+import zlib
 
 import pytest
 
@@ -58,6 +61,22 @@ def _dumps(results):
 
 def _serial_reference(n):
     return _dumps(SweepEngine(workers=1).run(_task_grid(n)))
+
+
+#: A pickle whose first opcode imports a module that is gone, as a
+#: record written by an older release can be.
+MISSING_MODULE_PICKLE = b"crepro.engine.no_such_module\nGone\n."
+
+
+def _bad_crc(line):
+    return line.replace('"crc32": ', '"crc32": 1')
+
+
+def _missing_module_records(line):
+    entry = json.loads(line)
+    entry["records"] = base64.b64encode(MISSING_MODULE_PICKLE).decode()
+    entry["crc32"] = zlib.crc32(MISSING_MODULE_PICKLE) & 0xFFFFFFFF
+    return json.dumps(entry, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -107,15 +126,19 @@ class TestChunkJournal:
         assert sorted(loaded.replayed) == [0]  # chunk 1 simply reruns
 
     def test_corrupt_payload_stops_replay(self, tmp_path):
-        self._write(tmp_path)
-        path = os.path.join(str(tmp_path), CHUNKS_FILE)
-        with open(path) as handle:
-            lines = handle.read().splitlines()
-        lines[1] = lines[1].replace('"crc32": ', '"crc32": 1')
-        with open(path, "w") as handle:
-            handle.write("\n".join(lines) + "\n")
-        loaded = ChunkJournal(str(tmp_path)).load(guard="guard-a")
-        assert len(loaded) == 0
+        # A CRC mismatch, and a CRC-valid pickle naming a module that no
+        # longer exists: either way the line is undecodable and its
+        # chunk reruns.
+        for damage in (_bad_crc, _missing_module_records):
+            self._write(tmp_path)
+            path = os.path.join(str(tmp_path), CHUNKS_FILE)
+            with open(path) as handle:
+                lines = handle.read().splitlines()
+            lines[1] = damage(lines[1])
+            with open(path, "w") as handle:
+                handle.write("\n".join(lines) + "\n")
+            loaded = ChunkJournal(str(tmp_path)).load(guard="guard-a")
+            assert len(loaded) == 0, damage.__name__
 
     def test_append_requires_open_handle(self, tmp_path):
         journal = self._write(tmp_path)
@@ -487,6 +510,25 @@ class TestElasticity:
         worker._replay_spool(FakeTransport())
         assert sent == [("result", 7, records)]
         assert worker._spooled_chunks() == []
+
+    def test_undecodable_spool_entry_is_skipped(self, tmp_path):
+        # A spool file whose pickle names a module that no longer
+        # exists is left alone like any corrupt entry; its chunk reruns
+        # and the readable entries still replay.
+        worker = SweepWorker("127.0.0.1", 1, spool=str(tmp_path))
+        records = [(3, True, "payload", 1.0, 99)]
+        worker._spool_result(7, records)
+        with open(worker._spool_path(4), "wb") as handle:
+            handle.write(MISSING_MODULE_PICKLE)
+        sent = []
+
+        class FakeTransport(object):
+            def send(self, message):
+                sent.append(message)
+
+        worker._replay_spool(FakeTransport())
+        assert sent == [("result", 7, records)]
+        assert worker._spooled_chunks() == [4]
 
 
 # ---------------------------------------------------------------------------

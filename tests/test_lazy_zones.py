@@ -9,6 +9,8 @@ with an :class:`Observability` facade and a fault preset installed
 before install, after install, or after the first use.
 """
 
+import functools
+
 import pytest
 
 from repro.cloudsim import Cloud
@@ -20,7 +22,11 @@ from repro.cloudsim.catalog import (
 )
 from repro.cloudsim.handlers import SleepHandler
 from repro.cloudsim.region import Region
-from repro.common.errors import ReproError, UnknownZoneError
+from repro.common.errors import (
+    ConfigurationError,
+    ReproError,
+    UnknownZoneError,
+)
 from repro.common.units import DAYS, HOURS
 from repro.faults import FaultInjector, build_preset
 from repro.obs import Observability
@@ -109,6 +115,28 @@ class TestRegistration(object):
         assert cloud.zone("test-1a") is zone
         assert zone._bus is obs.bus
         assert cloud.zone("us-west-1a")._bus is obs.bus
+
+    def test_zones_added_to_a_joined_region_are_indexed(self):
+        cloud = install_catalog(Cloud(seed=1),
+                                regions=("us-west-1", "us-east-2"))
+        obs = Observability().install(cloud)
+        region = cloud.region("us-west-1")
+        zone = region.add_zone(make_zone("us-west-1z", clock=cloud.clock))
+        assert cloud.zone("us-west-1z") is zone
+        assert cloud.region_of_zone("us-west-1z") is region
+        assert zone._bus is obs.bus
+        region.register_zone("us-west-1y", functools.partial(
+            make_zone, "us-west-1y", clock=cloud.clock))
+        assert "us-west-1y" not in cloud._zones
+        assert cloud.zone("us-west-1y")._bus is obs.bus
+        # An id that another region already holds is refused, and the
+        # region is left as it was.
+        with pytest.raises(ConfigurationError, match="duplicate zone"):
+            region.add_zone(make_zone("us-east-2a", clock=cloud.clock))
+        with pytest.raises(ConfigurationError, match="duplicate zone"):
+            region.register_zone("us-east-2b", lambda: None)
+        assert "us-east-2a" not in region.zones
+        assert cloud.region_of_zone("us-east-2a").name == "us-east-2"
 
 
 @pytest.mark.parametrize("seed", SEEDS)

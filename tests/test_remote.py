@@ -117,6 +117,38 @@ class TestProtocol(object):
                 parse_address(bad)
 
 
+class TestTaskFrame(object):
+    @staticmethod
+    def _worker():
+        return SweepWorker(
+            "127.0.0.1", 1, heartbeat_s=0.05,
+            run_chunk=lambda chunk: [(index, True, "ok", 0.0, 1)
+                                     for index, _ in chunk])
+
+    def test_worker_serves_the_fixed_frame(self):
+        coordinator_side, worker_side = _pair()
+        coordinator_side.send(("task", 5, [(0, None), (1, None)], False))
+        coordinator_side.send(("bye",))
+        assert self._worker()._session(worker_side) is True
+        message = coordinator_side.recv(timeout=1.0)
+        while message[0] == "heartbeat":
+            message = coordinator_side.recv(timeout=1.0)
+        assert message == ("result", 5, [(0, True, "ok", 0.0, 1),
+                                         (1, True, "ok", 0.0, 1)])
+        coordinator_side.close()
+
+    @pytest.mark.parametrize("frame", [("task", 5, [(0, None)]),
+                                       ("task", 5, [(0, None)], False,
+                                        True)])
+    def test_malformed_task_frame_fails_loudly(self, frame):
+        coordinator_side, worker_side = _pair()
+        coordinator_side.send(frame)
+        with pytest.raises(TransportError, match="malformed task frame"):
+            self._worker()._session(worker_side)
+        assert worker_side.closed
+        coordinator_side.close()
+
+
 class TestFaultyTransport(object):
     def test_seeded_drops_are_reproducible(self):
         import random
@@ -185,7 +217,8 @@ class TestCoordinator(object):
             solid = connect(*coordinator.address)
             solid.send(("hello", "solid", 222))
             message = solid.recv(timeout=5.0)
-            assert message[0] == "task"
+            # One fixed frame shape, telemetry on or off.
+            assert message == ("task", 0, message[2], False)
             solid.send(("result", message[1], _run_chunk(message[2])))
             driver.join(timeout=10.0)
             assert not driver.is_alive()
