@@ -39,7 +39,7 @@ DAYS = 12
 def truth_profile(cloud, zone_id):
     """The zone's real provisioned mix right now, as a characterization."""
     zone = cloud.zone(zone_id)
-    zone.place_batch("probe", 1, duration=0.1, window=0.0)  # apply drift
+    zone.invoke_batch("probe", 1, duration=0.1, window=0.0)  # apply drift
     return CPUCharacterization(zone_id, zone.cpu_slot_shares(),
                                samples=zone.capacity, polls=0, cost=0.0,
                                created_at=cloud.clock.now)

@@ -31,7 +31,8 @@ def test_throughput_poll_1000(benchmark, throughput_rig):
     cloud, sleeper, _ = throughput_rig
 
     def poll():
-        result, _ = cloud.poll(sleeper, 1000)
+        duration = sleeper.handler.duration_on(None, cloud.rng)
+        result, _ = cloud.place_batch(sleeper, 1000, duration)
         cloud.clock.advance(400.0)  # let the FIs expire between rounds
         return result
 

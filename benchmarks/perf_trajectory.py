@@ -346,7 +346,8 @@ def measure():
     # otherwise record a number for less work.
     def poll_loop():
         for _ in range(POLL_ITERS):
-            result, _ = cloud.poll(sleeper, 1000)
+            duration = sleeper.handler.duration_on(None, cloud.rng)
+            result, _ = cloud.place_batch(sleeper, 1000, duration)
             assert result.requested == 1000, result.requested
             cloud.clock.advance(400.0)  # let the FIs expire between rounds
 

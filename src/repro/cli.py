@@ -35,6 +35,7 @@ from scheduling order.
 """
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -63,6 +64,44 @@ from repro.cloudsim.catalog import (
 from repro.cloudsim.provider import CORE_PROVIDERS
 from repro.faults.schedule import PRESET_NAMES
 from repro.workloads import all_workloads, resolve_runtime_model
+
+
+#: Flags several subcommands share, declared once: every subcommand that
+#: takes one adds it from here with :func:`_add_shared`, so a flag means
+#: the same thing (same ``dest``, same help) wherever it appears.
+SHARED_FLAGS = {
+    "--zones": dict(default="us-west-1a,us-west-1b",
+                    help="comma-separated zone ids"),
+    "--workload": dict(default="sha1_hash"),
+    "--workers": dict(type=int, default=1,
+                      help="process-pool size (default 1 = serial)"),
+    "--record": dict(metavar="DIR",
+                     help="write a run manifest + events/metrics/trace "
+                          "artifacts (flight recorder) to DIR; a sweep "
+                          "adds a crash-safe chunks.jsonl journal"),
+    "--serve": dict(type=int, default=None, metavar="PORT",
+                    dest="serve_port",
+                    help="expose live /metrics, /healthz, /runs on this "
+                         "port while the run lasts (0 = any free port)"),
+    "--json": dict(dest="json_path", metavar="PATH",
+                   help="write the run's results as JSON"),
+    "--prom": dict(dest="prom_path", metavar="PATH",
+                   help="write the run's metrics as Prometheus text"),
+    "--jsonl": dict(dest="jsonl_path", metavar="PATH",
+                    help="write the run's event log as JSONL"),
+    "--auth-token": dict(default=None,
+                         help="shared secret for the sweep's HMAC "
+                              "handshake; unauthenticated peers are "
+                              "rejected before any pickle is read "
+                              "(default: $REPRO_SWEEP_TOKEN, else "
+                              "anonymous loopback mode)"),
+}
+
+
+def _add_shared(parser, *flags):
+    """Add the named :data:`SHARED_FLAGS` to ``parser``."""
+    for flag in flags:
+        parser.add_argument(flag, **SHARED_FLAGS[flag])
 
 
 def build_parser():
@@ -98,13 +137,7 @@ def build_parser():
     characterize.add_argument("--polls", type=int, default=6,
                               help="polls to run (default 6; 0 = until "
                                    "saturation)")
-    characterize.add_argument("--workers", type=int, default=1,
-                              help="process-pool size for multi-zone "
-                                   "sweeps (default 1 = serial)")
-    characterize.add_argument("--json", dest="json_path")
-    characterize.add_argument("--record", metavar="DIR",
-                              help="write a run manifest + artifacts "
-                                   "(flight recorder) to DIR")
+    _add_shared(characterize, "--workers", "--json", "--record")
 
     profile = commands.add_parser(
         "profile", help="per-CPU runtime profile of a workload in a zone")
@@ -127,15 +160,11 @@ def build_parser():
     study.add_argument("workload",
                        help="workload name (comma-separate several to "
                             "sweep one independent study per workload)")
-    study.add_argument("--zones",
-                       default="us-west-1a,us-west-1b,sa-east-1a")
+    _add_shared(study, "--zones", "--workers", "--json")
+    study.set_defaults(zones="us-west-1a,us-west-1b,sa-east-1a")
     study.add_argument("--baseline-zone", default="us-west-1b")
     study.add_argument("--days", type=int, default=7)
     study.add_argument("--burst", type=int, default=1000)
-    study.add_argument("--workers", type=int, default=1,
-                       help="process-pool size for multi-workload sweeps "
-                            "(default 1 = serial)")
-    study.add_argument("--json", dest="json_path")
     study.add_argument("--csv", dest="csv_path")
 
     sweep = commands.add_parser(
@@ -144,7 +173,8 @@ def build_parser():
                       "at any worker count")
     sweep.add_argument("kind", choices=("campaign", "progressive",
                                         "study", "temporal"))
-    sweep.add_argument("--zones", default="us-west-1a,us-west-1b")
+    _add_shared(sweep, "--zones", "--workers", "--serve", "--record",
+                "--auth-token", "--json")
     sweep.add_argument("--seeds", default="0",
                        help="comma-separated seed tokens; each grid cell "
                             "derives its cloud seed from --seed and its "
@@ -175,7 +205,6 @@ def build_parser():
     sweep.add_argument("--periods", type=int, default=3,
                        help="temporal: days (daily mode) or hours "
                             "(hourly mode) per cell (default 3)")
-    sweep.add_argument("--workers", type=int, default=1)
     sweep.add_argument("--chunk", type=int, default=None,
                        help="cells per dispatch chunk (default: "
                             "auto, ~4 chunks per worker)")
@@ -201,30 +230,15 @@ def build_parser():
                        help="ship worker-side events/metrics/spans back "
                             "to the coordinator (merged trace + "
                             "worker-labeled series)")
-    sweep.add_argument("--serve", type=int, default=None, metavar="PORT",
-                       help="expose live /metrics, /healthz, /runs on "
-                            "this port while the sweep runs (0 = any "
-                            "free port)")
-    sweep.add_argument("--record", metavar="DIR",
-                       help="write a run manifest + events/metrics/trace "
-                            "artifacts (flight recorder) to DIR, plus a "
-                            "crash-safe chunks.jsonl journal")
     sweep.add_argument("--resume", metavar="DIR",
                        help="replay DIR's chunks.jsonl journal and run "
                             "only the chunks it is missing (same grid "
                             "flags required; output byte-identical to "
                             "an uninterrupted run)")
-    sweep.add_argument("--auth-token", default=None,
-                       help="remote: shared secret for the HMAC "
-                            "handshake; unauthenticated peers are "
-                            "rejected before any pickle is read "
-                            "(default: $REPRO_SWEEP_TOKEN, else "
-                            "anonymous loopback mode)")
     sweep.add_argument("--worker-log-dir", metavar="DIR", default=None,
                        help="remote: write spawned workers' output to "
                             "worker-<n>.log under DIR instead of "
                             "discarding it")
-    sweep.add_argument("--json", dest="json_path")
 
     worker = commands.add_parser(
         "sweep-worker", help="serve a sweep coordinator: run task chunks "
@@ -240,10 +254,7 @@ def build_parser():
     worker.add_argument("--max-reconnects", type=int, default=8,
                         help="consecutive connection failures before "
                              "giving up (default 8)")
-    worker.add_argument("--auth-token", default=None,
-                        help="shared secret for the HMAC handshake "
-                             "(default: $REPRO_SWEEP_TOKEN, else "
-                             "anonymous)")
+    _add_shared(worker, "--auth-token")
     worker.add_argument("--spool", metavar="DIR", default=None,
                         help="persist undeliverable results to DIR and "
                              "replay them on reconnect (survives "
@@ -272,19 +283,12 @@ def build_parser():
     obs.add_argument("--connect", metavar="URL",
                      help="tail: endpoint to scrape (host:port or full "
                           "/metrics URL)")
-    obs.add_argument("--record", metavar="DIR",
-                     help="demo/serve: write a run manifest + artifacts "
-                          "(flight recorder) to DIR")
-    obs.add_argument("--workload", default="sha1_hash")
-    obs.add_argument("--zones", default="us-west-1a,us-west-1b")
+    _add_shared(obs, "--record", "--workload", "--zones")
     obs.add_argument("--requests", type=int, default=60)
     obs.add_argument("--polls", type=int, default=2,
                      help="profiling polls per zone refresh (default 2)")
     obs.add_argument("--poll-requests", type=int, default=400)
-    obs.add_argument("--prom", dest="prom_path",
-                     help="write a Prometheus-text metrics snapshot")
-    obs.add_argument("--jsonl", dest="jsonl_path",
-                     help="write the raw event log as JSONL")
+    _add_shared(obs, "--prom", "--jsonl")
     obs.add_argument("--csv", dest="csv_path",
                      help="write the metrics snapshot as CSV")
 
@@ -292,8 +296,7 @@ def build_parser():
         "serve", help="run the always-on serving gateway: open-loop "
                       "arrivals, coalesced dispatch, admission control, "
                       "live re-characterization")
-    serve.add_argument("--workload", default="sha1_hash")
-    serve.add_argument("--zones", default="us-west-1a,us-west-1b")
+    _add_shared(serve, "--workload", "--zones")
     serve.add_argument("--profile", default="poisson",
                        choices=("poisson", "diurnal"),
                        help="arrival process shape (default poisson)")
@@ -340,15 +343,7 @@ def build_parser():
                             "catalog capacity")
     serve.add_argument("--polls", type=int, default=2,
                        help="profiling polls per zone refresh (default 2)")
-    serve.add_argument("--serve", type=int, default=None, metavar="PORT",
-                       dest="serve_port",
-                       help="expose live /metrics, /healthz, /runs on "
-                            "this port while serving (0 = any free port)")
-    serve.add_argument("--record", metavar="DIR",
-                       help="write a run manifest + events/metrics/trace "
-                            "artifacts (flight recorder) to DIR")
-    serve.add_argument("--json", dest="json_path",
-                       help="write the final gateway report as JSON")
+    _add_shared(serve, "--serve", "--record", "--json")
 
     chaos = commands.add_parser(
         "chaos", help="run a routed workload under a scripted fault "
@@ -356,8 +351,7 @@ def build_parser():
     chaos.add_argument("--preset", default="brownout",
                        choices=PRESET_NAMES,
                        help="fault scenario to inject (default brownout)")
-    chaos.add_argument("--workload", default="sha1_hash")
-    chaos.add_argument("--zones", default="us-west-1a,us-west-1b")
+    _add_shared(chaos, "--workload", "--zones")
     chaos.add_argument("--requests", type=int, default=400)
     chaos.add_argument("--interval", type=float, default=1.0,
                        help="sim seconds between requests (default 1.0)")
@@ -367,16 +361,7 @@ def build_parser():
                        metavar="FLOOR",
                        help="exit non-zero if resilient availability "
                             "falls below FLOOR (e.g. 0.99)")
-    chaos.add_argument("--json", dest="json_path",
-                       help="write both reports as JSON")
-    chaos.add_argument("--prom", dest="prom_path",
-                       help="write the resilient run's metrics as "
-                            "Prometheus text")
-    chaos.add_argument("--jsonl", dest="jsonl_path",
-                       help="write the resilient run's event log as JSONL")
-    chaos.add_argument("--record", metavar="DIR",
-                       help="write a run manifest + the resilient run's "
-                            "artifacts (flight recorder) to DIR")
+    _add_shared(chaos, "--json", "--prom", "--jsonl", "--record")
     return parser
 
 
@@ -410,6 +395,82 @@ def cmd_workloads(args, out):
     return 0
 
 
+def _zone_list(text):
+    """Split a comma-separated zone list, failing fast on an unknown
+    zone."""
+    zones = [z.strip() for z in text.split(",") if z.strip()]
+    for zone_id in zones:
+        zone_spec(zone_id)
+    return zones
+
+
+@contextlib.contextmanager
+def _flight_record(args, out, kind, config, obs=None, guard=False):
+    """``--record DIR``: a run manifest around the body of one command.
+
+    The manifest is begun before the body runs.  The body fills the
+    yielded dict: ``summary``, ``grid_hash`` when it has one, and
+    ``obs`` when the facade is only made inside the body.  A body that
+    raises finalizes the manifest ``status="failed"``; one that returns
+    finalizes it and prints ``recorded DIR``.  ``guard`` stamps a
+    Ctrl-C'd or SIGTERM'd run "interrupted" (a SIGKILL leaves
+    "running").  Without ``--record`` the body just runs.
+    """
+    run = {"obs": obs, "summary": None, "grid_hash": None}
+    if not args.record:
+        yield run
+        return
+    from repro.obs.manifest import RunManifest
+    record = RunManifest.begin(args.record, kind, seed=args.seed,
+                               config=config)
+    if guard:
+        record.install_guard()
+    try:
+        yield run
+    except BaseException:
+        record.finalize(obs=run["obs"], status="failed")
+        raise
+    if run["grid_hash"] is not None:
+        record.update(grid_hash=run["grid_hash"])
+    record.finalize(obs=run["obs"], summary=run["summary"])
+    out.write("recorded {}\n".format(record.directory))
+
+
+@contextlib.contextmanager
+def _live_endpoint(obs, port, out, banner):
+    """Serve ``obs`` on /metrics, /healthz and /runs while the body runs
+    (no-op when ``port`` is None); ``banner`` announces the URL."""
+    if port is None:
+        yield
+        return
+    from repro.obs.serve import ObsServer
+    with ObsServer(obs, port=port) as server:
+        out.write("{} {} (/metrics /healthz /runs)\n".format(
+            banner, server.url("/")))
+        out.flush()
+        yield
+
+
+def _write_artifacts(args, out, payload=None, obs=None):
+    """Write ``--json`` (``payload``), then ``--prom`` and ``--jsonl``
+    (from ``obs``), each followed by its ``wrote PATH`` line."""
+    json_path = getattr(args, "json_path", None)
+    if json_path:
+        reporting.write_json(json_path, payload)
+        out.write("wrote {}\n".format(json_path))
+    prom_path = getattr(args, "prom_path", None)
+    jsonl_path = getattr(args, "jsonl_path", None)
+    if prom_path or jsonl_path:
+        from repro.obs import export as obs_export
+    if prom_path:
+        with open(prom_path, "w") as handle:
+            handle.write(obs_export.prometheus_text(obs.registry))
+        out.write("wrote {}\n".format(prom_path))
+    if jsonl_path:
+        obs_export.write_events_jsonl(jsonl_path, obs.recorder.events())
+        out.write("wrote {}\n".format(jsonl_path))
+
+
 def _write_campaign_block(out, zone_id, result):
     profile = result.ground_truth()
     out.write("zone {} ({} drift class)\n".format(
@@ -421,81 +482,65 @@ def _write_campaign_block(out, zone_id, result):
 
 
 def cmd_characterize(args, out):
-    zones = [z.strip() for z in args.zone.split(",") if z.strip()]
-    for zone_id in zones:
-        zone_spec(zone_id)  # fail fast on unknown zones
-    record = None
-    observability = None
-    if args.record:
-        from repro.obs.manifest import RunManifest
-        observability = Observability()
-        record = RunManifest.begin(
-            args.record, "characterize", seed=args.seed,
-            config={"zones": args.zone, "polls": args.polls,
-                    "workers": args.workers})
-    if len(zones) == 1:
-        if provider_name_of_zone(zones[0]) in CORE_PROVIDERS:
-            cloud = build_sky(seed=args.seed)
-        else:
-            # Scenario-pack zones are opt-in: build just their region.
-            from repro.engine import CloudSpec
-            cloud = CloudSpec.for_zones(zones, seed=args.seed).build()
-        if observability is not None:
-            observability.install(cloud)
-        region = cloud.region_of_zone(zones[0])
-        account = cloud.create_account("cli", region.provider.name)
-        mesh = SkyMesh(cloud)
-        count = max(args.polls, 1) if args.polls else 100
-        endpoints = mesh.deploy_sampling_endpoints(
-            account, zones[0], count=count,
-            memory_base_mb=min(2048, region.provider.memory_options_mb[-1]
-                               - count))
-        campaign = SamplingCampaign(
-            cloud, endpoints,
-            n_requests=sampling_poll_size(region.provider),
-            max_polls=args.polls if args.polls else None)
-        result = campaign.run()
-        _write_campaign_block(out, zones[0], result)
-        if args.json_path:
-            reporting.write_json(args.json_path,
-                                 reporting.campaign_to_dict(result))
-            out.write("wrote {}\n".format(args.json_path))
-        if record is not None:
-            record.finalize(obs=observability,
-                            summary={"zones": 1,
-                                     "polls_run": result.polls_run})
-            out.write("recorded {}\n".format(record.directory))
-        return 0
-    # Multi-zone: one independent campaign cell per zone, fanned out over
-    # the parallel engine.  Each cell's cloud seed is spawn-keyed from
-    # --seed and the zone id, so the output is byte-identical at any
-    # --workers setting.
-    from repro.engine import CampaignTask, CloudSpec, Grid, SweepEngine
-    grid = Grid([("zone", zones)], root_seed=args.seed,
-                namespace="characterize")
+    zones = _zone_list(args.zone)
+    observability = Observability() if args.record else None
     count = max(args.polls, 1) if args.polls else 100
-    tasks = []
-    for cell in grid.cells():
-        zone_id = dict(cell.key)["zone"]
-        tasks.append(CampaignTask(
-            CloudSpec.for_zones([zone_id], seed=cell.seed), zone_id,
-            endpoints=count,
-            max_polls=args.polls if args.polls else None))
-    results = SweepEngine(workers=args.workers,
-                          obs=observability).run(tasks)
-    for zone_id, result in zip(zones, results):
-        _write_campaign_block(out, zone_id, result)
-    if args.json_path:
-        reporting.write_json(args.json_path,
-                             [reporting.campaign_to_dict(r)
-                              for r in results])
-        out.write("wrote {}\n".format(args.json_path))
-    if record is not None:
-        record.update(grid_hash=grid.content_hash())
-        record.finalize(obs=observability,
-                        summary={"zones": len(zones)})
-        out.write("recorded {}\n".format(record.directory))
+    max_polls = args.polls if args.polls else None
+    config = {"zones": args.zone, "polls": args.polls,
+              "workers": args.workers}
+    with _flight_record(args, out, "characterize", config,
+                        obs=observability) as run:
+        if len(zones) == 1:
+            result = _characterize_one(args, zones[0], observability,
+                                       count, max_polls)
+            _write_campaign_block(out, zones[0], result)
+            _write_artifacts(args, out, reporting.campaign_to_dict(result))
+            run["summary"] = {"zones": 1, "polls_run": result.polls_run}
+            return 0
+        # Multi-zone: one independent campaign cell per zone, fanned out
+        # over the parallel engine.  Each cell's cloud seed is
+        # spawn-keyed from --seed and the zone id, so the output is
+        # byte-identical at any --workers setting.
+        from repro.engine import CampaignTask, CloudSpec, Grid, SweepEngine
+        grid = Grid([("zone", zones)], root_seed=args.seed,
+                    namespace="characterize")
+        tasks = []
+        for cell in grid.cells():
+            zone_id = dict(cell.key)["zone"]
+            tasks.append(CampaignTask(
+                CloudSpec.for_zones([zone_id], seed=cell.seed), zone_id,
+                endpoints=count, max_polls=max_polls))
+        results = SweepEngine(workers=args.workers,
+                              obs=observability).run(tasks)
+        for zone_id, result in zip(zones, results):
+            _write_campaign_block(out, zone_id, result)
+        _write_artifacts(args, out, [reporting.campaign_to_dict(r)
+                                     for r in results])
+        run["grid_hash"] = grid.content_hash()
+        run["summary"] = {"zones": len(zones)}
     return 0
+
+
+def _characterize_one(args, zone_id, observability, count, max_polls):
+    """One zone's sampling campaign, run in this process."""
+    if provider_name_of_zone(zone_id) in CORE_PROVIDERS:
+        cloud = build_sky(seed=args.seed)
+    else:
+        # Scenario-pack zones are opt-in: build just their region.
+        from repro.engine import CloudSpec
+        cloud = CloudSpec.for_zones([zone_id], seed=args.seed).build()
+    if observability is not None:
+        observability.install(cloud)
+    region = cloud.region_of_zone(zone_id)
+    account = cloud.create_account("cli", region.provider.name)
+    endpoints = SkyMesh(cloud).deploy_sampling_endpoints(
+        account, zone_id, count=count,
+        memory_base_mb=min(2048, region.provider.memory_options_mb[-1]
+                           - count))
+    campaign = SamplingCampaign(
+        cloud, endpoints, n_requests=sampling_poll_size(region.provider),
+        max_polls=max_polls)
+    return campaign.run()
 
 
 def cmd_profile(args, out):
@@ -562,7 +607,7 @@ def _write_study_block(out, workload_name, args, result):
 
 
 def cmd_study(args, out):
-    zones = [z.strip() for z in args.zones.split(",") if z.strip()]
+    zones = _zone_list(args.zones)
     workloads = [w.strip() for w in args.workload.split(",") if w.strip()]
     for name in workloads:
         workload_by_name(name)  # fail fast on unknown workloads
@@ -593,12 +638,9 @@ def cmd_study(args, out):
         results = SweepEngine(workers=args.workers).run(tasks)
     for workload_name, result in zip(workloads, results):
         _write_study_block(out, workload_name, args, result)
-    if args.json_path:
-        payload = reporting.study_result_to_dict(results[0]) \
-            if len(results) == 1 else \
-            [reporting.study_result_to_dict(r) for r in results]
-        reporting.write_json(args.json_path, payload)
-        out.write("wrote {}\n".format(args.json_path))
+    payloads = [reporting.study_result_to_dict(r) for r in results]
+    _write_artifacts(args, out,
+                     payloads[0] if len(payloads) == 1 else payloads)
     if args.csv_path:
         rows = []
         for result in results:
@@ -610,7 +652,7 @@ def cmd_study(args, out):
 
 def _obs_controller(args):
     """Build the routed-burst fixture the obs modes share."""
-    zones = [z.strip() for z in args.zones.split(",") if z.strip()]
+    zones = _zone_list(args.zones)
     cloud = build_sky(seed=args.seed, aws_only=True)
     account = cloud.create_account("cli", "aws")
     observability = Observability()
@@ -622,15 +664,11 @@ def _obs_controller(args):
     return observability, controller, workload, zones
 
 
-def _obs_record(args, observability, kind, summary=None):
-    """Begin + finalize a flight-recorder directory for a finished run."""
-    from repro.obs.manifest import RunManifest
-    record = RunManifest.begin(
-        args.record, kind, seed=args.seed,
-        config={"workload": args.workload, "zones": args.zones,
-                "requests": args.requests})
-    record.finalize(obs=observability, summary=summary)
-    return record
+def _obs_record(args, out, kind, observability):
+    """The flight recorder around one obs-mode run."""
+    return _flight_record(args, out, kind,
+                          {"workload": args.workload, "zones": args.zones,
+                           "requests": args.requests}, obs=observability)
 
 
 def cmd_obs(args, out):
@@ -645,27 +683,22 @@ def _obs_serve(args, out):
     """Run routed bursts while serving live /metrics, /healthz, /runs."""
     import time as time_module
 
-    from repro.obs.serve import ObsServer
     observability, controller, workload, _ = _obs_controller(args)
-    with ObsServer(observability, port=args.port) as server:
-        out.write("obs: serving {} (/metrics /healthz /runs)\n".format(
-            server.url("/")))
-        for round_index in range(max(args.rounds, 1)):
+    rounds = max(args.rounds, 1)
+    with _live_endpoint(observability, args.port, out, "obs: serving"), \
+            _obs_record(args, out, "obs-serve", observability) as run:
+        for round_index in range(rounds):
             for _ in range(args.requests):
                 controller.submit(workload)
             out.write("round {}/{}: {} events, {} metrics, {} traces\n"
-                      .format(round_index + 1, max(args.rounds, 1),
+                      .format(round_index + 1, rounds,
                               len(observability.recorder),
                               len(observability.registry),
                               len(observability.tracer)))
             if round_index + 1 < args.rounds and args.interval > 0:
                 time_module.sleep(args.interval)
-        if args.record:
-            record = _obs_record(
-                args, observability, "obs-serve",
-                summary={"rounds": max(args.rounds, 1),
-                         "requests_per_round": args.requests})
-            out.write("recorded {}\n".format(record.directory))
+        run["summary"] = {"rounds": rounds,
+                          "requests_per_round": args.requests}
     return 0
 
 
@@ -698,9 +731,17 @@ def _obs_tail(args, out):
 
 
 def _obs_demo(args, out):
+    observability, controller, workload, zones = _obs_controller(args)
+    with _obs_record(args, out, "obs-demo", observability) as run:
+        _run_obs_demo(args, out, observability, controller, workload,
+                      zones)
+        run["summary"] = {"requests": args.requests}
+    return 0
+
+
+def _run_obs_demo(args, out, observability, controller, workload, zones):
     from repro.obs import export as obs_export
     from repro.obs.trace import format_trace
-    observability, controller, workload, zones = _obs_controller(args)
     for _ in range(args.requests):
         controller.submit(workload)
 
@@ -748,23 +789,12 @@ def _obs_demo(args, out):
         out.write("\nlast request trace:\n")
         out.write(format_trace(trace) + "\n")
 
-    if args.prom_path:
-        with open(args.prom_path, "w") as handle:
-            handle.write(obs_export.prometheus_text(observability.registry))
-        out.write("wrote {}\n".format(args.prom_path))
-    if args.jsonl_path:
-        obs_export.write_events_jsonl(args.jsonl_path, recorder.events())
-        out.write("wrote {}\n".format(args.jsonl_path))
+    _write_artifacts(args, out, obs=observability)
     if args.csv_path:
         reporting.write_csv(args.csv_path,
                             obs_export.metrics_to_rows(
                                 observability.registry))
         out.write("wrote {}\n".format(args.csv_path))
-    if args.record:
-        record = _obs_record(args, observability, "obs-demo",
-                             summary={"requests": args.requests})
-        out.write("recorded {}\n".format(record.directory))
-    return 0
 
 
 def cmd_serve(args, out):
@@ -773,9 +803,7 @@ def cmd_serve(args, out):
     from repro.sampling.characterization import CharacterizationBuilder
     from repro.serve import GatewayConfig, ServeGateway, build_arrivals
 
-    zones = [z.strip() for z in args.zones.split(",") if z.strip()]
-    for zone_id in zones:
-        zone_spec(zone_id)  # fail fast on unknown zones
+    zones = _zone_list(args.zones)
     providers = {provider_name_of_zone(z) for z in zones}
     if len(providers) != 1:
         out.write("serve: all zones must share one provider "
@@ -836,36 +864,25 @@ def cmd_serve(args, out):
         except (ValueError, OSError):
             pass  # not the main thread; drain stays manual
 
-    record = None
-    if args.record:
-        from repro.obs.manifest import RunManifest
-        record = RunManifest.begin(
-            args.record, "serve", seed=args.seed,
-            config={"workload": args.workload, "zones": args.zones,
-                    "profile": args.profile, "rps": args.rps,
-                    "duration": args.duration,
-                    "batch_size": args.batch_size})
-    server = None
-    if args.serve_port is not None:
-        from repro.obs.serve import ObsServer
-        server = ObsServer(observability, port=args.serve_port).start()
-        out.write("serve: metrics on {} (/metrics /healthz /runs)\n"
-                  .format(server.url("/")))
-        out.flush()
-    out.write("serve: {} on {} ({} arrivals at {:g} rps, {} sim-s)\n"
-              .format(workload.name, ",".join(zones), args.profile,
-                      args.rps, args.duration))
-    out.flush()
-    try:
-        report = gateway.run_sync(args.duration)
-    except BaseException:
-        if record is not None:
-            record.finalize(obs=observability, status="failed")
-        raise
-    finally:
-        if server is not None:
-            server.close()
+    config = {"workload": args.workload, "zones": args.zones,
+              "profile": args.profile, "rps": args.rps,
+              "duration": args.duration, "batch_size": args.batch_size}
+    with _flight_record(args, out, "serve", config,
+                        obs=observability) as run:
+        with _live_endpoint(observability, args.serve_port, out,
+                            "serve: metrics on"):
+            out.write("serve: {} on {} ({} arrivals at {:g} rps, {} "
+                      "sim-s)\n".format(workload.name, ",".join(zones),
+                                         args.profile, args.rps,
+                                         args.duration))
+            out.flush()
+            report = gateway.run_sync(args.duration)
+        run["summary"] = _write_serve_report(args, out, report)
+    return 0
 
+
+def _write_serve_report(args, out, report):
+    """Print the gateway report, write ``--json``; returns its dict."""
     summary = report.to_dict()
     out.write("served {} of {} offered ({} shed, {} failed) over "
               "{:.1f} sim-s\n".format(
@@ -883,29 +900,43 @@ def cmd_serve(args, out):
                   report.batches_coalesced, report.batches_scalar,
                   report.recharacterizations, report.drained))
     out.write("serving cost: ${:.6f}\n".format(report.cost_usd))
-    if args.json_path:
-        reporting.write_json(args.json_path, summary)
-        out.write("wrote {}\n".format(args.json_path))
-    if record is not None:
-        record.finalize(obs=observability, summary=summary)
-        out.write("recorded {}\n".format(record.directory))
-    return 0
+    _write_artifacts(args, out, summary)
+    return summary
 
 
 def cmd_chaos(args, out):
-    import json as json_module
-
     from repro.faults.harness import ChaosExperiment
-    from repro.obs import export as obs_export
 
-    zones = [z.strip() for z in args.zones.split(",") if z.strip()]
-    experiment = ChaosExperiment(zones=zones, workload=args.workload,
-                                 seed=args.seed, requests=args.requests,
-                                 interval_s=args.interval)
-    resilient, naive = experiment.run_preset(
-        args.preset, start=args.fault_start,
-        duration=args.fault_duration)
+    zones = _zone_list(args.zones)
+    config = {"zones": args.zones, "workload": args.workload,
+              "requests": args.requests}
+    with _flight_record(args, out, "chaos-" + args.preset, config) as run:
+        experiment = ChaosExperiment(zones=zones, workload=args.workload,
+                                     seed=args.seed,
+                                     requests=args.requests,
+                                     interval_s=args.interval)
+        resilient, naive = experiment.run_preset(
+            args.preset, start=args.fault_start,
+            duration=args.fault_duration)
+        run["obs"] = resilient.obs
+        _write_chaos_report(args, out, zones, resilient, naive)
+        run["summary"] = {"availability": resilient.availability,
+                          "faults": sum(resilient.fault_counts.values())}
 
+    if args.assert_availability is not None:
+        floor = args.assert_availability
+        if resilient.availability < floor:
+            out.write("FAIL: resilient availability {:.2%} below the "
+                      "{:.2%} floor\n".format(resilient.availability,
+                                              floor))
+            return 1
+        out.write("OK: resilient availability {:.2%} >= {:.2%} floor "
+                  "(naive: {:.2%})\n".format(resilient.availability, floor,
+                                             naive.availability))
+    return 0
+
+
+def _write_chaos_report(args, out, zones, resilient, naive):
     out.write("chaos preset {!r} on {} ({} requests @ {}s)\n".format(
         args.preset, ",".join(zones), args.requests, args.interval))
     out.write("faults injected: {}\n".format(
@@ -928,44 +959,10 @@ def cmd_chaos(args, out):
             out.write("  t={:>7.1f}s  {:<14} {} -> {}\n".format(
                 when, zone, old, new))
 
-    if args.json_path:
-        reporting.write_json(args.json_path,
-                             {"preset": args.preset,
-                              "resilient": resilient.to_dict(),
-                              "naive": naive.to_dict()})
-        out.write("wrote {}\n".format(args.json_path))
-    if args.prom_path:
-        with open(args.prom_path, "w") as handle:
-            handle.write(obs_export.prometheus_text(
-                resilient.obs.registry))
-        out.write("wrote {}\n".format(args.prom_path))
-    if args.jsonl_path:
-        obs_export.write_events_jsonl(args.jsonl_path,
-                                      resilient.obs.recorder.events())
-        out.write("wrote {}\n".format(args.jsonl_path))
-    if args.record:
-        from repro.obs.manifest import RunManifest
-        record = RunManifest.begin(
-            args.record, "chaos-" + args.preset, seed=args.seed,
-            config={"zones": args.zones, "workload": args.workload,
-                    "requests": args.requests})
-        record.finalize(
-            obs=resilient.obs,
-            summary={"availability": resilient.availability,
-                     "faults": sum(resilient.fault_counts.values())})
-        out.write("recorded {}\n".format(record.directory))
-
-    if args.assert_availability is not None:
-        floor = args.assert_availability
-        if resilient.availability < floor:
-            out.write("FAIL: resilient availability {:.2%} below the "
-                      "{:.2%} floor\n".format(resilient.availability,
-                                              floor))
-            return 1
-        out.write("OK: resilient availability {:.2%} >= {:.2%} floor "
-                  "(naive: {:.2%})\n".format(resilient.availability, floor,
-                                             naive.availability))
-    return 0
+    _write_artifacts(args, out, {"preset": args.preset,
+                                 "resilient": resilient.to_dict(),
+                                 "naive": naive.to_dict()},
+                     obs=resilient.obs)
 
 
 def _sweep_engine(args):
@@ -977,9 +974,8 @@ def _sweep_engine(args):
     """
     from repro.engine import SweepEngine, SweepProgress
     obs = None
-    telemetry = getattr(args, "telemetry", False)
-    if (args.progress or telemetry or getattr(args, "record", None)
-            or getattr(args, "serve", None) is not None):
+    if (args.progress or args.telemetry or args.record
+            or args.serve_port is not None):
         observability = Observability()
         on_cell = None
         if args.progress:
@@ -999,19 +995,16 @@ def _sweep_engine(args):
                        obs=obs, backend=args.backend, bind=args.bind,
                        remote_workers=remote_workers,
                        join_timeout_s=args.join_timeout,
-                       telemetry=telemetry,
+                       telemetry=args.telemetry,
                        auth_token=_sweep_token(args),
-                       journal=getattr(args, "record", None),
-                       resume=getattr(args, "resume", None),
-                       worker_log_dir=getattr(args, "worker_log_dir",
-                                              None))
+                       journal=args.record, resume=args.resume,
+                       worker_log_dir=args.worker_log_dir)
 
 
 def _sweep_token(args):
     """The shared sweep secret: --auth-token, else $REPRO_SWEEP_TOKEN."""
     from repro.engine.remote import TOKEN_ENV
-    return (getattr(args, "auth_token", None)
-            or os.environ.get(TOKEN_ENV) or None)
+    return args.auth_token or os.environ.get(TOKEN_ENV) or None
 
 
 def cmd_sweep_worker(args, out):
@@ -1055,38 +1048,17 @@ def cmd_sweep(args, out):
         # directory (fresh manifest attempt, same chunk journal).
         args.record = args.resume
     engine = _sweep_engine(args)
-    record = None
-    server = None
-    if args.record:
-        from repro.obs.manifest import RunManifest
-        record = RunManifest.begin(
-            args.record, "sweep-" + args.kind, seed=args.seed,
-            config={"zones": args.zones, "seeds": args.seeds,
-                    "workers": args.workers, "backend": args.backend})
-        # Ctrl-C / SIGTERM stamp the manifest "interrupted" (a SIGKILL
-        # leaves "running"); either way the chunk journal makes the run
-        # resumable with --resume.
-        record.install_guard()
-    if args.serve is not None:
-        from repro.obs.serve import ObsServer
-        server = ObsServer(engine.obs, port=args.serve).start()
-        out.write("obs: serving {} (/metrics /healthz /runs)\n".format(
-            server.url("/")))
-    try:
-        grid, json_cells = _run_sweep(args, out, engine)
-    except BaseException:
-        if record is not None:
-            record.finalize(obs=engine.obs, status="failed")
-        raise
-    finally:
-        if server is not None:
-            server.close()
-    if record is not None:
-        record.update(grid_hash=grid.content_hash())
-        record.finalize(obs=engine.obs,
-                        summary={"kind": args.kind,
-                                 "cells": len(json_cells)})
-        out.write("recorded {}\n".format(record.directory))
+    config = {"zones": args.zones, "seeds": args.seeds,
+              "workers": args.workers, "backend": args.backend}
+    # However the run ends, the chunk journal makes it resumable with
+    # --resume.
+    with _flight_record(args, out, "sweep-" + args.kind, config,
+                        obs=engine.obs, guard=True) as run:
+        with _live_endpoint(engine.obs, args.serve_port, out,
+                            "obs: serving"):
+            grid, json_cells = _run_sweep(args, out, engine)
+        run["grid_hash"] = grid.content_hash()
+        run["summary"] = {"kind": args.kind, "cells": len(json_cells)}
     return 0
 
 
@@ -1100,13 +1072,11 @@ def _run_sweep(args, out, engine):
         StudyTask,
         TemporalTask,
     )
-    zones = [z.strip() for z in args.zones.split(",") if z.strip()]
+    zones = _zone_list(args.zones)
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     max_polls = args.polls if args.polls else None
 
     if args.kind in ("campaign", "progressive"):
-        for zone_id in zones:
-            zone_spec(zone_id)  # fail fast on unknown zones
         task_type = (CampaignTask if args.kind == "campaign"
                      else ProgressiveTask)
         grid = Grid([("zone", zones), ("seed", seeds)],
@@ -1173,8 +1143,6 @@ def _run_sweep(args, out, engine):
                     "campaign": reporting.campaign_to_dict(campaign),
                 })
     elif args.kind == "temporal":
-        for zone_id in zones:
-            zone_spec(zone_id)  # fail fast on unknown zones
         grid = Grid([("zone", zones), ("seed", seeds)],
                     root_seed=args.seed, namespace="sweep-temporal")
         tasks = []
@@ -1257,13 +1225,8 @@ def _run_sweep(args, out, engine):
             cell_dict.update(reporting.study_result_to_dict(result))
             json_cells.append(cell_dict)
 
-    if args.json_path:
-        reporting.write_json(args.json_path, {
-            "kind": args.kind,
-            "root_seed": args.seed,
-            "cells": json_cells,
-        })
-        out.write("wrote {}\n".format(args.json_path))
+    _write_artifacts(args, out, {"kind": args.kind, "root_seed": args.seed,
+                                 "cells": json_cells})
     return grid, json_cells
 
 

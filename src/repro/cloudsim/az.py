@@ -3,7 +3,7 @@
 An :class:`AvailabilityZone` owns a set of :class:`~repro.cloudsim.host.HostPool`
 objects (one per CPU model) and implements the two invocation paths:
 
-* :meth:`place_batch` — vectorized placement of a poll's worth of parallel
+* :meth:`invoke_batch` — vectorized placement of a poll's worth of parallel
   requests (the sampling hot path);
 * :meth:`invoke_one` — a single identified request (the smart-router path),
   with warm reuse and a ``force_new`` escape hatch used by retry strategies.
@@ -310,12 +310,6 @@ class AvailabilityZone(object):
         return PlacementResult(self.zone_id, n_requests, served, failed,
                                got_fis, new_counts, reused_counts,
                                request_cpu_counts, duration, now)
-
-    def place_batch(self, deployment, n_requests, duration, window,
-                    now=None, force_new=False):
-        """Historic name for :meth:`invoke_batch` (identical semantics)."""
-        return self.invoke_batch(deployment, n_requests, duration, window,
-                                 now=now, force_new=force_new)
 
     # -- per-request invocation (router path) -------------------------------------
     def invoke_one(self, deployment, duration_fn, now=None, force_new=False):

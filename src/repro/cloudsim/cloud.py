@@ -6,8 +6,10 @@ talks to the cloud exclusively through:
 
 * :meth:`Cloud.deploy` — create a function deployment in a zone;
 * :meth:`Cloud.invoke` — one request, with warm reuse and retry hooks;
-* :meth:`Cloud.place_batch` / :meth:`Cloud.poll` — a burst of parallel
-  requests (the sampling hot path);
+* :meth:`Cloud.place_batch` — a burst of parallel requests placed in one
+  zone pass (the sampling hot path);
+* :meth:`Cloud.poll_batch` — the same burst resolved columnarly, with
+  per-CPU runtimes and exact billing ticks (the serving hot path);
 * :meth:`Cloud.hold` — keep an FI busy (billed!) so a re-issued request
   must land elsewhere.
 """
@@ -538,7 +540,12 @@ class Cloud(object):
 
     def poll(self, deployment, n_requests=1000, now=None,
              bill_category="poll"):
-        """One sampling poll: a parallel burst against a sleep function."""
+        """One sampling poll: a parallel burst against a sleep function.
+
+        Nothing in the package calls this: draw the handler's duration
+        and call :meth:`place_batch`.  It stays only while
+        ``perfbench/layers.py`` traces ``Cloud.poll`` by name.
+        """
         handler = deployment.handler
         duration = handler.duration_on(None, self.rng)
         return self.place_batch(deployment, n_requests, duration,
@@ -551,7 +558,7 @@ class Cloud(object):
         :class:`BatchPollResult`, one aggregated bill, no per-request
         objects.
 
-        This is the vectorized successor to :meth:`poll` for hot loops
+        The columnar counterpart of :meth:`place_batch` for hot loops
         that only consume aggregates.  Placement is the zone's batch core
         (:meth:`~repro.cloudsim.az.AvailabilityZone.invoke_batch`); on top
         of it this method classifies cold/warm requests with one

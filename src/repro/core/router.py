@@ -206,46 +206,6 @@ class SmartRouter(object):
                                   policy=self.policy.name, timestamp=now)
         return request
 
-    def route_with_failover(self, max_zones=None):
-        """Route one request, failing over across candidate zones.
-
-        Sky computing's availability story: if the chosen zone is
-        saturated, throttled, or transiently failing
-        (:data:`~repro.common.errors.FAILOVER_REASONS`), drop it from this
-        request's view and re-decide, until a zone serves the request or
-        the candidates are exhausted (the last error propagates).  Handler
-        errors propagate immediately — the bug follows the request to any
-        zone.  ``max_zones`` bounds the attempts.
-        """
-        remaining = list(self.candidate_zones)
-        attempts = max_zones if max_zones is not None else len(remaining)
-        last_error = None
-        original = self.candidate_zones
-        bus = self._event_bus()
-        try:
-            for hop in range(attempts):
-                if not remaining:
-                    break
-                self.candidate_zones = remaining
-                decision = self.decide()
-                try:
-                    return self.route(decision)
-                except InvocationError as error:
-                    if error.reason not in FAILOVER_REASONS:
-                        raise
-                    last_error = error
-                    remaining = [z for z in remaining
-                                 if z != decision.zone_id]
-                    if bus.enabled:
-                        bus.emit("router.failover", self.cloud.clock.now,
-                                 zone=decision.zone_id, reason=error.reason,
-                                 hop=hop, remaining=len(remaining))
-        finally:
-            self.candidate_zones = original
-        if last_error is not None:
-            raise last_error
-        raise ConfigurationError("no candidate zones left to fail over to")
-
     def _decide_over(self, zones):
         """Ask the policy to decide over a temporary candidate set."""
         original = self.candidate_zones

@@ -12,9 +12,10 @@ detected on load.
 
 Appends are flushed and fsynced per chunk, so a SIGKILLed coordinator
 leaves a journal describing precisely the chunks it had accepted.  A
-crash *during* an append leaves a truncated final line;
-:meth:`ChunkJournal.load` stops at the first undecodable line and
-returns what precedes it — the interrupted chunk simply reruns.
+crash *during* an append leaves a truncated final line, and a damaged
+line can sit anywhere; :meth:`ChunkJournal.load` skips every
+undecodable line and returns the chunks that decode — each skipped
+chunk simply reruns, and its rerun is appended on a line of its own.
 
 Resume (``SweepEngine(resume=DIR)`` / ``repro sweep ... --resume DIR``)
 replays the journaled records through the engine's normal absorb path
@@ -126,9 +127,9 @@ class ChunkJournal(object):
         :attr:`header` populated as a side effect), then each chunk line
         is read, decoded, and yielded **one at a time** — nothing is
         retained, so resuming a journal with millions of spooled records
-        holds one chunk's records in memory, not the whole file.  A
-        truncated or corrupt tail (crash mid-append) ends the stream;
-        the rest of the sweep reruns.
+        holds one chunk's records in memory, not the whole file.  An
+        undecodable line (a crash mid-append, a damaged byte) is
+        skipped; its chunk reruns, and the lines after it still replay.
         """
         try:
             handle = open(self.path)
@@ -156,9 +157,8 @@ class ChunkJournal(object):
             self.header = header
             for line in handle:
                 entry = self._decode_chunk(line, header)
-                if entry is None:
-                    return  # truncated/corrupt tail: rerun from here
-                yield entry
+                if entry is not None:
+                    yield entry
 
     def load(self, guard=None, cells=None):
         """Read the whole journal back; populates :attr:`replayed`.
@@ -167,8 +167,7 @@ class ChunkJournal(object):
         mismatch means the directory holds a *different* sweep's
         progress, and resuming it would silently corrupt results, so a
         :class:`~repro.common.errors.ConfigurationError` is raised
-        instead.  A truncated or corrupt tail (crash mid-append) is
-        tolerated: reading stops there and the rest of the sweep reruns.
+        instead.  Undecodable lines are skipped (see :meth:`stream`).
 
         Materializes every chunk — callers that only need one pass (the
         engine's resume replay) should iterate :meth:`stream` instead.
@@ -180,8 +179,20 @@ class ChunkJournal(object):
         return self
 
     def reopen_for_append(self):
-        """Continue appending to a loaded journal (resume path)."""
+        """Continue appending to a loaded journal (resume path).
+
+        A torn final line (a crash mid-append) is ended first, so the
+        next chunk starts a line of its own instead of being glued to
+        the fragment and lost with it.
+        """
+        with open(self.path, "rb") as handle:
+            torn = handle.seek(0, os.SEEK_END) > 0
+            if torn:
+                handle.seek(-1, os.SEEK_END)
+                torn = handle.read(1) != b"\n"
         self._handle = open(self.path, "a")
+        if torn:
+            self._handle.write("\n")
         return self
 
     @staticmethod

@@ -171,9 +171,6 @@ __all__ = [
     "Tracer",
     "format_trace",
     "export",
-    "AsyncJsonlExporter",
-    "AsyncPrometheusExporter",
-    "AsyncCsvExporter",
     "TelemetryCapture",
     "TelemetryMerge",
     "current_capture",
@@ -192,9 +189,6 @@ __all__ = [
 #: pay for.
 __getattr__ = lazy_getattr(globals(), {
     "export": "repro.obs.export",
-    "AsyncCsvExporter": "repro.obs.async_export",
-    "AsyncJsonlExporter": "repro.obs.async_export",
-    "AsyncPrometheusExporter": "repro.obs.async_export",
     "TelemetryCapture": "repro.obs.ship",
     "TelemetryMerge": "repro.obs.ship",
     "current_capture": "repro.obs.ship",

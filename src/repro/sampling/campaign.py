@@ -121,6 +121,13 @@ class SamplingCampaign(object):
                  inter_poll_gap=2.5, fanout=None):
         if not 0 < failure_threshold <= 1:
             raise ConfigurationError("failure_threshold must be in (0, 1]")
+        if max_polls is not None and max_polls < 1:
+            raise ConfigurationError(
+                "max_polls must be None or >= 1, got {!r}".format(max_polls))
+        if inter_poll_gap < 0:
+            raise ConfigurationError(
+                "inter_poll_gap must be >= 0, got {!r}".format(
+                    inter_poll_gap))
         self.cloud = cloud
         self.poller = Poller(cloud, endpoints, n_requests=n_requests,
                              fanout=fanout)

@@ -68,6 +68,13 @@ def drain_zone(zone, deployment="filler", fraction=1.0, duration=1.0):
     target = int(zone.free_slots() * fraction)
     if target <= 0:
         return 0
-    result = zone.place_batch(deployment, target, duration=duration,
-                              window=0.0)
+    result = zone.invoke_batch(deployment, target, duration=duration,
+                               window=0.0)
     return result.unique_fis
+
+
+def sleep_poll(cloud, deployment, n_requests=1000):
+    """One sampling poll of a sleep function: draw its duration from the
+    cloud RNG, then place the burst with :meth:`Cloud.place_batch`."""
+    duration = deployment.handler.duration_on(None, cloud.rng)
+    return cloud.place_batch(deployment, n_requests, duration)

@@ -235,8 +235,8 @@ class TestPreemptionProcess(object):
         # Many separate placements → many FI buckets → many independent
         # preemption draws per strike.
         for i in range(12):
-            zone.place_batch("fn-{}".format(i), 50, duration=500.0,
-                             window=0.0)
+            zone.invoke_batch("fn-{}".format(i), 50, duration=500.0,
+                              window=0.0)
         process = PreemptionProcess("test-1a", 60.0, 0.5, seed=seed)
         process.apply_if_due(zone, 130.0)  # strikes at 60 and 120
         return process.preempted
@@ -251,7 +251,7 @@ class TestPreemptionProcess(object):
 
     def test_no_strike_before_first_interval(self):
         zone = make_zone(seed=3)
-        zone.place_batch("fn", 100, duration=500.0, window=0.0)
+        zone.invoke_batch("fn", 100, duration=500.0, window=0.0)
         process = PreemptionProcess("test-1a", 60.0, 1.0, seed=0)
         process.apply_if_due(zone, 59.9)
         assert process.preempted == 0
@@ -263,7 +263,7 @@ class TestPreemptionProcess(object):
         zone_a = make_zone(seed=3)
         zone_b = make_zone(seed=3)
         for zone in (zone_a, zone_b):
-            zone.place_batch("fn", 200, duration=500.0, window=0.0)
+            zone.invoke_batch("fn", 200, duration=500.0, window=0.0)
         PreemptionProcess("test-1a", 60.0, 1.0, seed=0).apply_if_due(
             zone_b, 61.0)
         assert zone_a.rng.bit_generator.state == \

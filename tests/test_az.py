@@ -53,56 +53,56 @@ class TestConstruction(object):
 
 class TestPlaceBatch(object):
     def test_all_unique_when_sleep_covers_window(self, zone):
-        result = zone.place_batch("fn", 100, duration=0.25, window=0.2)
+        result = zone.invoke_batch("fn", 100, duration=0.25, window=0.2)
         assert result.unique_fis == 100
         assert result.served == 100
         assert result.failed == 0
 
     def test_short_sleep_reuses_fis(self, zone):
-        result = zone.place_batch("fn", 100, duration=0.1, window=1.0)
+        result = zone.invoke_batch("fn", 100, duration=0.1, window=1.0)
         assert result.unique_fis == 10
         assert result.served == 100  # served sequentially by reuse
 
     def test_zero_window_means_truly_parallel(self, zone):
-        result = zone.place_batch("fn", 50, duration=0.01, window=0.0)
+        result = zone.invoke_batch("fn", 50, duration=0.01, window=0.0)
         assert result.unique_fis == 50
 
     def test_request_counts_match_served(self, zone):
-        result = zone.place_batch("fn", 200, duration=0.3, window=0.2)
+        result = zone.invoke_batch("fn", 200, duration=0.3, window=0.2)
         assert sum(result.request_cpu_counts.values()) == result.served
 
     def test_cpu_counts_cover_only_known_pools(self, zone):
-        result = zone.place_batch("fn", 200, duration=0.3, window=0.2)
+        result = zone.invoke_batch("fn", 200, duration=0.3, window=0.2)
         assert set(result.new_fi_counts) <= {"xeon-2.5", "xeon-3.0"}
 
     def test_warm_fis_of_same_deployment_reused_first(self, zone):
-        zone.place_batch("fn", 100, duration=0.25, window=0.2)
+        zone.invoke_batch("fn", 100, duration=0.25, window=0.2)
         zone.clock.advance(5.0)
-        second = zone.place_batch("fn", 100, duration=0.25, window=0.2)
+        second = zone.invoke_batch("fn", 100, duration=0.25, window=0.2)
         assert sum(second.reused_fi_counts.values()) == 100
         assert second.new_fis == 0
 
     def test_other_deployments_cannot_reuse(self, zone):
-        zone.place_batch("fn-a", 100, duration=0.25, window=0.2)
+        zone.invoke_batch("fn-a", 100, duration=0.25, window=0.2)
         zone.clock.advance(5.0)
-        second = zone.place_batch("fn-b", 100, duration=0.25, window=0.2)
+        second = zone.invoke_batch("fn-b", 100, duration=0.25, window=0.2)
         assert second.new_fis == 100
 
     def test_invalid_arguments(self, zone):
         with pytest.raises(ConfigurationError):
-            zone.place_batch("fn", 0, duration=1.0, window=0.0)
+            zone.invoke_batch("fn", 0, duration=1.0, window=0.0)
         with pytest.raises(ConfigurationError):
-            zone.place_batch("fn", 10, duration=0.0, window=0.0)
+            zone.invoke_batch("fn", 10, duration=0.0, window=0.0)
 
     def test_failure_rate_property(self, zone):
-        result = zone.place_batch("fn", 100, duration=0.25, window=0.2)
+        result = zone.invoke_batch("fn", 100, duration=0.25, window=0.2)
         assert result.failure_rate == 0.0
 
 
 class TestSaturation(object):
     def test_requests_fail_when_pool_is_full(self, zone):
         drain_zone(zone, duration=100.0)
-        result = zone.place_batch("other", 100, duration=0.25, window=0.2)
+        result = zone.invoke_batch("other", 100, duration=0.25, window=0.2)
         assert result.failed == 100
 
     def test_distinct_deployments_accumulate_until_saturation(self, zone):
@@ -111,8 +111,8 @@ class TestSaturation(object):
         total_served = 0
         deployments = 0
         while True:
-            result = zone.place_batch("fn-{}".format(deployments), 200,
-                                      duration=0.25, window=0.2)
+            result = zone.invoke_batch("fn-{}".format(deployments), 200,
+                                       duration=0.25, window=0.2)
             total_served += result.served
             deployments += 1
             zone.clock.advance(2.0)
@@ -125,12 +125,12 @@ class TestSaturation(object):
         # A "second account" (fresh deployment) fails immediately once the
         # zone is exhausted — the EX-1 validation.
         drain_zone(zone, duration=100.0)
-        second_account = zone.place_batch("account-b-fn", 100,
-                                          duration=0.25, window=0.2)
+        second_account = zone.invoke_batch("account-b-fn", 100,
+                                           duration=0.25, window=0.2)
         assert second_account.failure_rate == 1.0
 
     def test_capacity_recovers_after_keepalive(self, zone):
-        zone.place_batch("fn", 500, duration=1.0, window=0.0)
+        zone.invoke_batch("fn", 500, duration=1.0, window=0.0)
         zone.clock.advance(1.0 + zone.keepalive + 1.0)
         assert zone.free_slots() == zone.capacity
 
@@ -143,14 +143,14 @@ class TestScaling(object):
         base_capacity = zone.capacity
         drain_zone(zone, fraction=0.9, duration=600.0)
         clock.advance(120.0)
-        zone.place_batch("fn", 10, duration=0.25, window=0.2)
+        zone.invoke_batch("fn", 10, duration=0.25, window=0.2)
         assert zone.capacity > base_capacity
 
     def test_no_scaling_without_pressure(self, clock):
         zone = make_zone(clock=clock)
         base_capacity = zone.capacity
         clock.advance(600.0)
-        zone.place_batch("fn", 10, duration=0.25, window=0.2)
+        zone.invoke_batch("fn", 10, duration=0.25, window=0.2)
         assert zone.capacity == base_capacity
 
     def test_surge_is_bounded(self, clock):
@@ -161,7 +161,7 @@ class TestScaling(object):
         drain_zone(zone, fraction=0.95, duration=3600.0)
         for _ in range(5):
             clock.advance(300.0)
-            zone.place_batch("fn", 5, duration=0.25, window=0.2)
+            zone.invoke_batch("fn", 5, duration=0.25, window=0.2)
         assert zone.capacity <= base_capacity + 64 + 64  # slots + rounding
 
 
@@ -224,7 +224,7 @@ class TestRebalance(object):
         assert zone.cpu_slot_shares().categories == ("xeon-2.5",)
 
     def test_rebalance_cannot_evict_live_fis(self, zone):
-        zone.place_batch("fn", 200, duration=600.0, window=0.0)
+        zone.invoke_batch("fn", 200, duration=600.0, window=0.0)
         before = zone.occupied()
         zone.rebalance({"xeon-2.5": 1.0})
         assert zone.occupied() >= before

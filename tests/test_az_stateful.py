@@ -53,8 +53,8 @@ class ZoneMachine(RuleBasedStateMachine):
           window=st.floats(min_value=0.0, max_value=2.0),
           tag=st.integers(min_value=0, max_value=3))
     def place_batch(self, n, duration, window, tag):
-        result = self.zone.place_batch("fn-{}".format(tag), n, duration,
-                                       window)
+        result = self.zone.invoke_batch("fn-{}".format(tag), n, duration,
+                                        window)
         assert result.served + result.failed == n
         assert result.served >= 0 and result.failed >= 0
         assert sum(result.request_cpu_counts.values()) == result.served

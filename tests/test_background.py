@@ -64,14 +64,14 @@ class TestZoneIntegration(object):
 
     def test_foreground_sees_reduced_capacity(self):
         zone = self.make_loaded_zone(base=0.3)
-        result = zone.place_batch("fn", 200, duration=0.25, window=0.2)
+        result = zone.invoke_batch("fn", 200, duration=0.25, window=0.2)
         assert result.served == 200
         assert zone.free_slots() < zone.capacity * 0.7
 
     def test_background_never_served_to_foreground(self):
         zone = self.make_loaded_zone(base=0.3)
-        result = zone.place_batch(BACKGROUND_DEPLOYMENT + "-other", 50,
-                                  duration=0.25, window=0.2)
+        result = zone.invoke_batch(BACKGROUND_DEPLOYMENT + "-other", 50,
+                                   duration=0.25, window=0.2)
         assert result.new_fis == 50  # no reuse of tenant FIs
 
     def test_shrinks_when_target_drops(self):
@@ -108,8 +108,8 @@ class TestZoneIntegration(object):
                                               profile=profile, seed=11))
         failures = []
         for index in range(14):
-            result = zone.place_batch("fn-{}".format(index), 200,
-                                      duration=0.25, window=0.2)
+            result = zone.invoke_batch("fn-{}".format(index), 200,
+                                       duration=0.25, window=0.2)
             failures.append(result.failure_rate)
             zone.clock.advance(90.0)
         saturated = [f for f in failures if f > 0.5]

@@ -77,7 +77,7 @@ from repro.engine.spec import CloudSpec
 from repro.faults import FaultInjector, build_preset
 from repro.obs.hooks import NULL_BUS, EventBus
 from repro.simclock import SimClock
-from tests.helpers import PACK_ZONES
+from tests.helpers import PACK_ZONES, sleep_poll
 
 _NEG_INF = float("-inf")
 
@@ -550,7 +550,7 @@ def _saturation_and_routing_transcript(cloud, provider="aws",
     ]
     lines = []
     for i, endpoint in enumerate(endpoints):
-        result, bill = cloud.poll(endpoint, 1000)
+        result, bill = sleep_poll(cloud, endpoint, 1000)
         lines.append("poll {} {} {} {} {!r} {!r} {!r} {:.6f} {}".format(
             i, result.served, result.failed, result.unique_fis,
             sorted(result.new_fi_counts.items()),
@@ -596,7 +596,7 @@ def _drift_and_background_transcript(cloud):
     for round_i in range(40):
         for zone_id in zone_ids:
             endpoint = endpoints[zone_id][round_i % 12]
-            result, bill = cloud.poll(endpoint, 800)
+            result, bill = sleep_poll(cloud, endpoint, 800)
             lines.append("{} {} {} {} {} {!r} {!r} {:.6f} {}".format(
                 zone_id, round_i, result.served, result.failed,
                 result.unique_fis, sorted(result.new_fi_counts.items()),
@@ -698,7 +698,7 @@ def _faulted_transcript(cloud, preset):
     lines = []
     for i in range(60):
         try:
-            result, bill = cloud.poll(endpoints[i % 40], 1000)
+            result, bill = sleep_poll(cloud, endpoints[i % 40], 1000)
             lines.append("poll {} {} {} {!r} {!r} {}".format(
                 i, result.served, result.unique_fis,
                 list(result.new_fi_counts.items()),

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro import cli
+from repro.common.errors import ConfigurationError
 
 
 def run_cli(*argv):
@@ -26,6 +27,14 @@ class TestCatalog(object):
         lines = output.strip().splitlines()
         assert len(lines) == 4
         assert "eu-de" in lines
+
+
+class TestSharedFlags(object):
+    def test_serve_port_has_one_dest(self):
+        parser = cli.build_parser()
+        for argv in (["serve", "--serve", "0"],
+                     ["sweep", "campaign", "--serve", "0"]):
+            assert parser.parse_args(argv).serve_port == 0
 
 
 class TestWorkloads(object):
@@ -70,6 +79,10 @@ class TestCharacterize(object):
         with pytest.raises(Exception):
             run_cli("characterize", "atlantis-1a")
 
+    def test_negative_polls_rejected(self):
+        with pytest.raises(ConfigurationError, match="max_polls"):
+            run_cli("characterize", "us-west-1b", "--polls", "-1")
+
 
 class TestProfile(object):
     def test_profile_table(self):
@@ -96,6 +109,10 @@ class TestAdvise(object):
                                "--objective", "fastest")
         assert code == 0
         assert "recommended (fastest)" in output
+
+    def test_zero_polls_rejected(self):
+        with pytest.raises(ConfigurationError, match="max_polls"):
+            run_cli("advise", "sha1_hash", "--polls", "0")
 
 
 class TestStudy(object):

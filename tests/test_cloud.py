@@ -1,4 +1,4 @@
-"""The cloud facade: accounts, deployments, invoke, poll, hold."""
+"""The cloud facade: accounts, deployments, invoke, place_batch, hold."""
 
 import pytest
 
@@ -11,6 +11,7 @@ from repro.common.errors import (
 from repro.common.units import Money
 from repro.cloudsim.handlers import CallableHandler, SleepHandler
 from repro.cloudsim.network import GeoPoint
+from tests.helpers import sleep_poll
 
 
 @pytest.fixture
@@ -153,12 +154,12 @@ class TestHold(object):
 
 class TestPoll(object):
     def test_poll_returns_result_and_bill(self, cloud, deployment):
-        result, bill = cloud.poll(deployment, 100)
+        result, bill = sleep_poll(cloud, deployment, 100)
         assert result.served == 100
         assert bill.requests == 100
 
     def test_poll_respects_quota(self, cloud, deployment, aws_account):
-        result, _ = cloud.poll(deployment, 1500)
+        result, _ = sleep_poll(cloud, deployment, 1500)
         assert result.requested == 1000
         assert aws_account.throttled_requests == 500
 

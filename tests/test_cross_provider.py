@@ -11,7 +11,9 @@ from repro.core import (
     BaselinePolicy,
     CharacterizationStore,
     RegionalPolicy,
+    ResilienceConfig,
     SmartRouter,
+    ZoneHealthTracker,
     ZoneRanker,
 )
 from repro.core.policies import CheapestCostPolicy
@@ -121,6 +123,9 @@ class TestCheapestCostPolicy(object):
 
 
 class TestFailover(object):
+    """Failover-only routing: ``route_resilient`` with one attempt per
+    candidate zone and no hedge hops zones on saturation."""
+
     @pytest.fixture
     def failover_rig(self):
         cloud = make_cloud(seed=131)
@@ -135,49 +140,50 @@ class TestFailover(object):
         put_profile(store, "test-1b", {"xeon-3.0": 10})
         return cloud, mesh, store
 
+    @staticmethod
+    def _router(rig, policy=None):
+        cloud, mesh, store = rig
+        return SmartRouter(cloud, mesh, store, policy or RegionalPolicy(),
+                           workload_by_name("sha1_hash"),
+                           ["test-1a", "test-1b"],
+                           health=ZoneHealthTracker())
+
+    @staticmethod
+    def _route(router):
+        return router.route_resilient(ResilienceConfig(
+            max_attempts=len(router.candidate_zones)))
+
     def test_fails_over_to_second_zone(self, failover_rig):
-        cloud, mesh, store = failover_rig
+        cloud, _, _ = failover_rig
         drain_zone(cloud.zone("test-1b"), duration=600.0)  # best zone dead
-        router = SmartRouter(cloud, mesh, store, RegionalPolicy(),
-                             workload_by_name("sha1_hash"),
-                             ["test-1a", "test-1b"])
-        request = router.route_with_failover()
-        assert request.zone_id == "test-1a"
+        outcome = self._route(self._router(failover_rig))
+        assert outcome.zone_id == "test-1a"
+        assert outcome.failovers == 1
 
     def test_no_failover_needed_uses_best_zone(self, failover_rig):
-        cloud, mesh, store = failover_rig
-        router = SmartRouter(cloud, mesh, store, RegionalPolicy(),
-                             workload_by_name("sha1_hash"),
-                             ["test-1a", "test-1b"])
-        assert router.route_with_failover().zone_id == "test-1b"
+        outcome = self._route(self._router(failover_rig))
+        assert outcome.zone_id == "test-1b"
+        assert outcome.attempts == 1
 
     def test_all_zones_saturated_raises(self, failover_rig):
-        cloud, mesh, store = failover_rig
+        cloud, _, _ = failover_rig
         drain_zone(cloud.zone("test-1a"), duration=600.0)
         drain_zone(cloud.zone("test-1b"), duration=600.0)
-        router = SmartRouter(cloud, mesh, store, RegionalPolicy(),
-                             workload_by_name("sha1_hash"),
-                             ["test-1a", "test-1b"])
         with pytest.raises(SaturationError):
-            router.route_with_failover()
+            self._route(self._router(failover_rig))
 
     def test_candidates_restored_after_failover(self, failover_rig):
-        cloud, mesh, store = failover_rig
+        cloud, _, _ = failover_rig
         drain_zone(cloud.zone("test-1b"), duration=600.0)
-        router = SmartRouter(cloud, mesh, store, RegionalPolicy(),
-                             workload_by_name("sha1_hash"),
-                             ["test-1a", "test-1b"])
-        router.route_with_failover()
+        router = self._router(failover_rig)
+        self._route(router)
         assert router.candidate_zones == ["test-1a", "test-1b"]
 
     def test_fixed_zone_policy_cannot_fail_over(self, failover_rig):
         # A baseline policy re-decides the same dead zone; after dropping
         # it the policy still insists, so the error surfaces.
-        cloud, mesh, store = failover_rig
+        cloud, _, _ = failover_rig
         drain_zone(cloud.zone("test-1a"), duration=600.0)
-        router = SmartRouter(cloud, mesh, store,
-                             BaselinePolicy("test-1a"),
-                             workload_by_name("sha1_hash"),
-                             ["test-1a", "test-1b"])
+        router = self._router(failover_rig, BaselinePolicy("test-1a"))
         with pytest.raises(SaturationError):
-            router.route_with_failover()
+            self._route(router)

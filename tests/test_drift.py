@@ -116,7 +116,7 @@ class TestZoneDriftHook(object):
         zone.attach_drift(process)
         before = zone.cpu_slot_shares().shares()
         zone.clock.advance(3 * DAYS)
-        zone.place_batch("fn", 10, duration=0.25, window=0.2)
+        zone.invoke_batch("fn", 10, duration=0.25, window=0.2)
         after = zone.cpu_slot_shares().shares()
         assert ape_between(before, after) > 1.0
 

@@ -5,7 +5,7 @@ import pytest
 from repro.common.errors import ConfigurationError
 from repro.common.units import Money
 from repro.cloudsim.handlers import SleepHandler
-from tests.helpers import make_cloud
+from tests.helpers import make_cloud, sleep_poll
 
 
 class TestZoneEdges(object):
@@ -19,29 +19,29 @@ class TestZoneEdges(object):
         assert zone.occupancy() == 1.0  # full by definition
 
     def test_single_request_batch(self, zone):
-        result = zone.place_batch("fn", 1, duration=0.25, window=0.2)
+        result = zone.invoke_batch("fn", 1, duration=0.25, window=0.2)
         assert result.served == 1
         assert result.unique_fis == 1
 
     def test_batch_larger_than_capacity(self, zone):
-        result = zone.place_batch("fn", zone.capacity + 500,
-                                  duration=0.25, window=0.0)
+        result = zone.invoke_batch("fn", zone.capacity + 500,
+                                   duration=0.25, window=0.0)
         assert result.served == zone.capacity
         assert result.failed == 500
 
     def test_duration_much_longer_than_window(self, zone):
         # duration/window > 1 clamps to all-unique, never more.
-        result = zone.place_batch("fn", 100, duration=10.0, window=0.1)
+        result = zone.invoke_batch("fn", 100, duration=10.0, window=0.1)
         assert result.unique_fis == 100
 
     def test_reuse_prefers_same_deployment_even_with_many_others(self,
                                                                  zone):
         for index in range(5):
-            zone.place_batch("other-{}".format(index), 50, duration=0.25,
-                             window=0.2)
-        zone.place_batch("mine", 50, duration=0.25, window=0.2)
+            zone.invoke_batch("other-{}".format(index), 50, duration=0.25,
+                              window=0.2)
+        zone.invoke_batch("mine", 50, duration=0.25, window=0.2)
         zone.clock.advance(5.0)
-        second = zone.place_batch("mine", 50, duration=0.25, window=0.2)
+        second = zone.invoke_batch("mine", 50, duration=0.25, window=0.2)
         assert sum(second.reused_fi_counts.values()) == 50
 
     def test_cpu_keys_sorted(self, zone):
@@ -75,7 +75,7 @@ class TestCloudEdges(object):
     def test_poll_uses_handler_sleep(self, cloud, aws_account):
         deployment = cloud.deploy(aws_account, "test-1a", "fn", 2048,
                                   handler=SleepHandler(0.5))
-        result, bill = cloud.poll(deployment, 10)
+        result, bill = sleep_poll(cloud, deployment, 10)
         assert bill.billed_duration == pytest.approx(10 * 0.501)
 
 

@@ -28,7 +28,7 @@ from repro.dynfunc import UniversalDynamicFunctionHandler
 from repro.sampling import CharacterizationBuilder, SamplingCampaign
 from repro.skymesh import SkyMesh
 from repro.workloads import resolve_runtime_model, workload_by_name
-from tests.helpers import drain_zone, make_cloud
+from tests.helpers import drain_zone, make_cloud, sleep_poll
 
 
 def put_profile(store, zone, counts, timestamp=0.0):
@@ -111,7 +111,7 @@ class TestThrottling(object):
         cloud, account, mesh = rig
         endpoints = mesh.deploy_sampling_endpoints(account, "test-1a",
                                                    count=1)
-        result, _ = cloud.poll(endpoints[0], n_requests=5000)
+        result, _ = sleep_poll(cloud, endpoints[0], 5000)
         assert result.requested == account.concurrency_quota
         assert account.throttled_requests == 4000
 

@@ -138,9 +138,9 @@ class TestModels(object):
                       zones=["test-1a"])])
         intact = make_rig()[0]
         zone, intact_zone = cloud.zone("test-1a"), intact.zone("test-1a")
-        result = zone.place_batch("fill", 2000, duration=60.0, window=0.0)
-        baseline = intact_zone.place_batch("fill", 2000, duration=60.0,
-                                           window=0.0)
+        result = zone.invoke_batch("fill", 2000, duration=60.0, window=0.0)
+        baseline = intact_zone.invoke_batch("fill", 2000, duration=60.0,
+                                            window=0.0)
         assert 0 < result.served < baseline.served
 
     def test_model_validation(self):

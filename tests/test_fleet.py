@@ -8,6 +8,7 @@ coordinator close() lifecycle, and the seeded FleetChaos schedule.
 """
 
 import base64
+import io
 import json
 import os
 import pickle
@@ -125,10 +126,10 @@ class TestChunkJournal:
         loaded = ChunkJournal(str(tmp_path)).load(guard="guard-a")
         assert sorted(loaded.replayed) == [0]  # chunk 1 simply reruns
 
-    def test_corrupt_payload_stops_replay(self, tmp_path):
+    def test_corrupt_payload_skips_only_its_line(self, tmp_path):
         # A CRC mismatch, and a CRC-valid pickle naming a module that no
         # longer exists: either way the line is undecodable and its
-        # chunk reruns.
+        # chunk reruns, while the chunk after it still replays.
         for damage in (_bad_crc, _missing_module_records):
             self._write(tmp_path)
             path = os.path.join(str(tmp_path), CHUNKS_FILE)
@@ -138,7 +139,23 @@ class TestChunkJournal:
             with open(path, "w") as handle:
                 handle.write("\n".join(lines) + "\n")
             loaded = ChunkJournal(str(tmp_path)).load(guard="guard-a")
-            assert len(loaded) == 0, damage.__name__
+            assert sorted(loaded.replayed) == [1], damage.__name__
+
+    def test_append_after_torn_tail_starts_a_new_line(self, tmp_path):
+        self._write(tmp_path)
+        path = os.path.join(str(tmp_path), CHUNKS_FILE)
+        with open(path) as handle:
+            lines = handle.read().splitlines()
+        with open(path, "w") as handle:
+            handle.write("\n".join(lines[:2]) + "\n" + lines[2][:37])
+        journal = ChunkJournal(str(tmp_path))
+        journal.load(guard="guard-a")
+        journal.reopen_for_append()
+        journal.append(1, [2], self.RECORDS[1], worker="w")
+        journal.close()
+        loaded = ChunkJournal(str(tmp_path)).load(guard="guard-a")
+        assert loaded.replayed[1] == ([2], self.RECORDS[1])
+        assert sorted(loaded.replayed) == [0, 1]
 
     def test_append_requires_open_handle(self, tmp_path):
         journal = self._write(tmp_path)
@@ -196,6 +213,41 @@ class TestResume:
                             ).run(_task_grid(n))
         assert _dumps(again) == reference
         assert ran == []
+
+    def test_damaged_middle_line_reruns_once(self, tmp_path):
+        # Only the damaged chunk reruns, its rerun lands on a line of its
+        # own, and the next resume finds the journal complete.
+        from repro.cli import main
+
+        run_dir = str(tmp_path / "run")
+        path = os.path.join(run_dir, CHUNKS_FILE)
+        base = ["--seed", "7", "sweep", "campaign",
+                "--zones", "us-west-1a,us-west-1b", "--seeds", "0,1,2,3",
+                "--chunk", "1", "--workers", "1", "--polls", "2",
+                "--endpoints", "3", "--requests", "150"]
+        reference = str(tmp_path / "reference.json")
+        assert main(base + ["--record", run_dir, "--json", reference],
+                    out=io.StringIO()) == 0
+
+        def journal_lines():
+            with open(path) as handle:
+                return handle.read().splitlines()
+
+        lines = journal_lines()
+        assert len(lines) == 9  # header + 8 chunks
+        chunk_two = next(i for i, line in enumerate(lines)
+                         if json.loads(line).get("chunk") == 2)
+        lines[chunk_two] = _bad_crc(lines[chunk_two])
+        with open(path, "w") as handle:
+            handle.write("\n".join(lines) + "\n")
+        resumed = str(tmp_path / "resumed.json")
+        for _ in range(2):
+            assert main(base + ["--resume", run_dir, "--json", resumed],
+                        out=io.StringIO()) == 0
+            with open(reference, "rb") as ref, open(resumed, "rb") as got:
+                assert got.read() == ref.read()
+            appended = journal_lines()[len(lines):]
+            assert [json.loads(line)["chunk"] for line in appended] == [2]
 
     def test_resume_into_pool_backend(self, tmp_path):
         n = 6

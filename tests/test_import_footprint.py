@@ -28,11 +28,16 @@ LAZY_MODULES = {
     "repro.obs.ship": ("repro.obs", "TelemetryCapture"),
     "repro.obs.manifest": ("repro.obs", "RunManifest"),
     "repro.obs.export": ("repro.obs", "export"),
-    "repro.obs.async_export": ("repro.obs", "AsyncJsonlExporter"),
     "repro.faults.fleet": ("repro.faults", "FleetChaos"),
     "repro.core.study": ("repro", "RoutingStudy"),
     "repro.reporting": None,
 }
+
+
+#: Every package that serves names lazily through
+#: :func:`repro.common.lazy_exports.lazy_getattr`.
+LAZY_PACKAGES = ("repro", "repro.obs", "repro.engine", "repro.core",
+                 "repro.faults")
 
 
 @pytest.mark.parametrize("module", ["networkx", "scipy", "ssl",
@@ -115,3 +120,14 @@ def test_fork_server_preloads_what_workers_run():
         [sys.executable, "-c", WORKER_SCRIPT], env=env,
         capture_output=True, text=True, check=True).stdout.strip()
     assert loaded == "[]"
+
+
+@pytest.mark.parametrize("package", LAZY_PACKAGES)
+def test_every_exported_name_resolves(package):
+    # A deleted module must not leave a lazy name behind that raises on
+    # first use.
+    import importlib
+
+    module = importlib.import_module(package)
+    for name in module.__all__:
+        getattr(module, name)

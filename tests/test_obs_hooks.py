@@ -33,6 +33,38 @@ class TestNullBus(object):
         assert isinstance(NULL_BUS, NullBus)
 
 
+class TestEmitMany(object):
+    def test_null_bus_returns_zero_without_iterating(self):
+        def exploding():
+            raise AssertionError("NULL_BUS must not touch the iterable")
+            yield  # pragma: no cover
+
+        assert NULL_BUS.emit_many(exploding()) == 0
+
+    def test_disabled_bus_skips_the_iterable_too(self):
+        bus = EventBus()
+        bus.pause()
+
+        def exploding():
+            raise AssertionError("paused bus must not touch the iterable")
+            yield  # pragma: no cover
+
+        assert bus.emit_many(exploding()) == 0
+
+    def test_delivers_batch_and_counts(self):
+        bus = EventBus()
+        seen = []
+        bus.subscribe(lambda event: seen.append(event))
+        delivered = bus.emit_many([
+            ("batch.a", 1.0, {"n": 1}),
+            ("batch.b", 2.0, {"n": 2}),
+        ])
+        assert delivered == 2
+        assert [event.name for event in seen] == ["batch.a", "batch.b"]
+        assert seen[1].fields == {"n": 2}
+        assert seen[1].timestamp == 2.0
+
+
 class TestEventBus(object):
     def test_emit_returns_event(self):
         bus = EventBus()

@@ -60,7 +60,7 @@ class TestCloudsimHooks(object):
         obs.install(cloud)
         zone = cloud.zone("test-1a")
         drain_zone(zone, fraction=1.0)
-        result = zone.place_batch("overflow", 200, duration=1.0, window=0.0)
+        result = zone.invoke_batch("overflow", 200, duration=1.0, window=0.0)
         assert result.failed > 0
         assert obs.recorder.count("az.placement") >= 2
         assert obs.recorder.count("az.saturation") == 1
@@ -86,7 +86,7 @@ class TestCloudsimHooks(object):
         cloud = make_cloud(seed=9)
         obs.install(cloud)
         zone = cloud.zone("test-1a")
-        zone.place_batch("dep", 50, duration=1.0, window=0.0)
+        zone.invoke_batch("dep", 50, duration=1.0, window=0.0)
         cloud.clock.advance(3600.0)
         assert zone.occupied() == 0
         expired = obs.recorder.events("host.expire")
@@ -228,7 +228,7 @@ class TestDisabledNoOp(object):
         cloud, _, _, router = make_routed_rig(obs)
         campaign_zone = cloud.zone("test-1a")
         router.route()
-        campaign_zone.place_batch("dep", 10, duration=1.0, window=0.0)
+        campaign_zone.invoke_batch("dep", 10, duration=1.0, window=0.0)
         assert len(obs.recorder) == 0
         assert len(obs.registry) == 0
         assert len(obs.tracer) == 0

@@ -2,6 +2,8 @@
 
 import pickle
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -445,3 +447,37 @@ class TestArrayReservoirMatchesList(object):
         assert sys.getsizeof(fast._reservoir) < 9 * 1024
         assert sys.getsizeof(fast._reservoir) * 3 < \
             sys.getsizeof(spec._reservoir) + 24 * len(spec._reservoir)
+
+
+class TestConcurrentRegistryMutation(object):
+    def test_collect_never_tears_while_series_are_created(self):
+        registry = MetricsRegistry()
+        stop = threading.Event()
+        errors = []
+
+        def mutate():
+            index = 0
+            while not stop.is_set():
+                registry.counter("churn_total",
+                                 shard=str(index % 4096)).inc()
+                index += 1
+
+        def collect():
+            try:
+                while not stop.is_set():
+                    for _name, _kind, _labels, _metric in \
+                            registry.collect():
+                        pass
+            except RuntimeError as error:  # dict-changed-size tear
+                errors.append(error)
+
+        threads = [threading.Thread(target=mutate),
+                   threading.Thread(target=collect),
+                   threading.Thread(target=collect)]
+        for thread in threads:
+            thread.start()
+        time.sleep(0.3)
+        stop.set()
+        for thread in threads:
+            thread.join(timeout=5.0)
+        assert errors == []

@@ -1,6 +1,7 @@
 """The live observability endpoint and the ``obs tail`` renderer."""
 
 import json
+import threading
 import urllib.error
 import urllib.request
 
@@ -93,6 +94,32 @@ class TestObsServer(object):
 
 
 # -- quantile estimation -------------------------------------------------------
+
+class TestConcurrentRegistryMutation(object):
+    def test_live_scrape_during_mutation(self):
+        obs = Observability()
+        stop = threading.Event()
+
+        def mutate():
+            index = 0
+            while not stop.is_set():
+                # Bounded label space: constant churn on series creation
+                # paths without growing the scrape body unboundedly.
+                obs.registry.counter("scrape_churn_total",
+                                     shard=str(index % 512)).inc()
+                index += 1
+
+        thread = threading.Thread(target=mutate)
+        thread.start()
+        try:
+            with ObsServer(obs) as server:
+                for _ in range(10):
+                    body = scrape(server.url("/metrics"), timeout=30.0)
+                    parse_prometheus_text(body)
+        finally:
+            stop.set()
+            thread.join(timeout=5.0)
+
 
 class TestBucketQuantile(object):
     def test_interpolates_inside_the_winning_bucket(self):

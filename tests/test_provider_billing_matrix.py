@@ -14,6 +14,7 @@ from repro.cloudsim.billing import (
     IBM_CODE_ENGINE_BILLING,
 )
 from repro.cloudsim.handlers import SleepHandler
+from tests.helpers import sleep_poll
 
 
 class TestIbmBilling(object):
@@ -75,7 +76,7 @@ class TestNonAwsInvocations(object):
         account = sky.create_account("do-acct", "do")
         deployment = sky.deploy(account, "nyc1", "fn", 512,
                                 handler=SleepHandler(0.25))
-        result, _ = sky.poll(deployment, 1000)
+        result, _ = sleep_poll(sky, deployment, 1000)
         assert result.requested == 120  # DO's concurrency quota
         assert account.throttled_requests == 880
 

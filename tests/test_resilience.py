@@ -2,8 +2,8 @@
 
 Covers the circuit-breaker state table (closed → open → half-open, probe
 budgets, the mutating/non-mutating gate split), full-jitter backoff,
-hedge gating, the ZoneHealthTracker, and ``route_resilient`` /
-``route_with_failover`` behaviour under each error reason.
+hedge gating, the ZoneHealthTracker, and ``route_resilient`` behaviour
+under each error reason, including failover-only routing.
 """
 
 import pytest
@@ -492,6 +492,12 @@ class TestRouteResilient(object):
 
 
 class TestRouteWithFailover(object):
+    """Failover-only routing: one attempt per candidate zone, no hedge."""
+
+    @staticmethod
+    def _failover_only(router):
+        return ResilienceConfig(max_attempts=len(router.candidate_zones))
+
     def test_fails_over_on_throttling(self, monkeypatch):
         _, router, _ = make_resilient_router()
         served = []
@@ -503,9 +509,10 @@ class TestRouteWithFailover(object):
             return _FakeRequest()
 
         monkeypatch.setattr(router, "route", throttled_primary)
-        request = router.route_with_failover()
-        assert isinstance(request, _FakeRequest)
+        outcome = router.route_resilient(self._failover_only(router))
+        assert isinstance(outcome.request, _FakeRequest)
         assert served == ["test-1b"]
+        assert outcome.failovers == 1
         # The candidate list is restored afterwards.
         assert router.candidate_zones == ["test-1a", "test-1b"]
 
@@ -519,7 +526,7 @@ class TestRouteWithFailover(object):
 
         monkeypatch.setattr(router, "route", exploding_route)
         with pytest.raises(InvocationError):
-            router.route_with_failover()
+            router.route_resilient(self._failover_only(router))
         assert calls == ["test-1a"]
 
     def test_exhausting_all_zones_raises_the_last_error(self):
@@ -527,4 +534,4 @@ class TestRouteWithFailover(object):
         drain_zone(cloud.zone("test-1a"), duration=600.0)
         drain_zone(cloud.zone("test-1b"), duration=600.0)
         with pytest.raises(SaturationError):
-            router.route_with_failover()
+            router.route_resilient(self._failover_only(router))

@@ -9,6 +9,7 @@ from repro.saaf import (
     report_from_invocation,
     reports_from_placement,
 )
+from tests.helpers import sleep_poll
 
 
 @pytest.fixture
@@ -63,7 +64,7 @@ class TestReports(object):
     def test_reports_from_placement(self, cloud, aws_account):
         deployment = cloud.deploy(aws_account, "test-1a", "fn3", 2048,
                                   handler=SleepHandler(0.25))
-        result, _ = cloud.poll(deployment, 50)
+        result, _ = sleep_poll(cloud, deployment, 50)
         reports = reports_from_placement(result)
         assert len(reports) == result.served
         counts = aggregate_cpu_counts(reports)
@@ -72,7 +73,7 @@ class TestReports(object):
     def test_reports_from_placement_capped(self, cloud, aws_account):
         deployment = cloud.deploy(aws_account, "test-1a", "fn4", 2048,
                                   handler=SleepHandler(0.25))
-        result, _ = cloud.poll(deployment, 50)
+        result, _ = sleep_poll(cloud, deployment, 50)
         reports = reports_from_placement(result, max_reports=10)
         assert len(reports) == 10
 

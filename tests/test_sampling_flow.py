@@ -120,6 +120,17 @@ class TestCampaign(object):
         with pytest.raises(ConfigurationError):
             SamplingCampaign(cloud, endpoints, failure_threshold=0.0)
 
+    @pytest.mark.parametrize("max_polls", [0, -1])
+    def test_invalid_max_polls(self, sampling_setup, max_polls):
+        cloud, _, endpoints = sampling_setup
+        with pytest.raises(ConfigurationError, match="max_polls"):
+            SamplingCampaign(cloud, endpoints, max_polls=max_polls)
+
+    def test_negative_inter_poll_gap(self, sampling_setup):
+        cloud, _, endpoints = sampling_setup
+        with pytest.raises(ConfigurationError, match="inter_poll_gap"):
+            SamplingCampaign(cloud, endpoints, inter_poll_gap=-1.0)
+
     def test_total_cost_sums_polls(self, sampling_setup):
         cloud, _, endpoints = sampling_setup
         result = SamplingCampaign(cloud, endpoints, n_requests=100,
