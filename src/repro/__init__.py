@@ -69,7 +69,6 @@ from repro.engine import (
     StudyTask,
     SweepEngine,
     TemporalTask,
-    run_sweep,
 )
 from repro.obs import EventBus, MetricsRegistry, Observability, Tracer
 from repro.saaf import Inspector, report_from_invocation
@@ -146,7 +145,6 @@ __all__ = [
     "SweepEngine",
     "SweepProgress",
     "TemporalTask",
-    "run_sweep",
     "EventBus",
     "MetricsRegistry",
     "Observability",

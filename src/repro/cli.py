@@ -1056,13 +1056,13 @@ def cmd_sweep(args, out):
                         obs=engine.obs, guard=True) as run:
         with _live_endpoint(engine.obs, args.serve_port, out,
                             "obs: serving"):
-            grid, json_cells = _run_sweep(args, out, engine)
+            grid, json_cells = _dispatch_sweep(args, out, engine)
         run["grid_hash"] = grid.content_hash()
         run["summary"] = {"kind": args.kind, "cells": len(json_cells)}
     return 0
 
 
-def _run_sweep(args, out, engine):
+def _dispatch_sweep(args, out, engine):
     """Dispatch one sweep kind; returns ``(grid, json_cells)``."""
     from repro.engine import (
         CampaignTask,

@@ -29,7 +29,7 @@ See ``python -m repro sweep --help`` for the CLI front end.
 """
 
 from repro.common.lazy_exports import lazy_getattr
-from repro.engine.executor import BACKENDS, SweepEngine, run_sweep
+from repro.engine.executor import BACKENDS, SweepEngine
 from repro.engine.grid import Cell, Grid
 from repro.engine.spec import CloudSpec
 from repro.engine.tasks import (
@@ -68,8 +68,6 @@ __all__ = [
     "connect",
     "guard_hash_for_tasks",
     "run_task",
-    "run_sweep",
-    "run_worker",
     "server_auth",
     "spawn_local_workers",
 ]
@@ -88,6 +86,5 @@ __getattr__ = lazy_getattr(globals(), {
     "server_auth": "repro.engine.protocol",
     "SweepCoordinator": "repro.engine.remote",
     "SweepWorker": "repro.engine.remote",
-    "run_worker": "repro.engine.remote",
     "spawn_local_workers": "repro.engine.remote",
 })

@@ -16,9 +16,13 @@ serial reference, element for element.  Three properties make that hold:
    (:mod:`repro.engine.remote`).
 
 Small cells are batched into chunks (one pickle/IPC round-trip per chunk,
-not per cell) and the engine degrades gracefully:
-``remote coordinator → local pool → serial``, emitting a
-``sweep.fallback`` event at each step down.
+not per cell).  :meth:`SweepEngine.run` builds one chunk plan, and every
+backend — serial, serial fallback, pool, remote — runs that plan through
+one chunk runner (:func:`_run_chunk`) and accepts each chunk in one
+place (absorb, journal, ``chunk_hook``); a chunk lost to infrastructure
+becomes :func:`chunk_failure_records` on every backend.  The engine
+degrades gracefully: ``remote coordinator → local pool → serial``,
+emitting a ``sweep.fallback`` event at each step down.
 
 Observability is parent-side only: per-cell ``sweep.cell`` events and the
 worker-utilization gauge are emitted as results arrive, on wall-clock
@@ -26,6 +30,7 @@ timestamps (a sweep spans many independent sim clocks, so there is no
 single sim time to stamp).
 """
 
+import contextlib
 import os
 import threading
 import time
@@ -35,6 +40,7 @@ from repro.common.errors import (
     SweepError,
     SweepFailure,
     TransportError,
+    non_negative_count,
     positive_count,
 )
 from repro.engine.tasks import run_task
@@ -92,66 +98,86 @@ def _start_forkserver(context):
                 os.environ["PYTHONPATH"] = saved
 
 
-def _run_chunk(chunk):
-    """Worker-side loop: run each (index, task) pair, never raise.
+def _run_chunk(chunk, ship=False, worker_id=None, flush=None):
+    """Run one chunk of ``(index, task)`` pairs; never raise.
 
-    Failures travel back as ``(error_type_name, message)`` payloads so one
-    bad cell cannot poison its chunk-mates, and the parent can report every
-    failing cell (deterministically, by index) instead of just the first.
+    Returns ``(records, payloads)``: one ``(index, ok, payload, wall_ms,
+    pid)`` record per cell.  Failures travel back as ``(error_type_name,
+    message)`` payloads so one bad cell cannot poison its chunk-mates,
+    and the parent can report every failing cell (deterministically, by
+    index) instead of just the first.
+
+    ``ship`` activates a :class:`~repro.obs.ship.TelemetryCapture`
+    around the chunk so any cloud the tasks build attaches the capture
+    bus.  After each cell the capture is drained; the payload is handed
+    to ``flush`` (the remote worker streams it as a ``TELEMETRY`` frame)
+    or kept in ``payloads`` (the pool pickles them with the records).
+    The records are computed the same way either way — telemetry must
+    never perturb results.
     """
-    out = []
-    pid = os.getpid()
-    for index, task in chunk:
-        start = time.perf_counter()
-        try:
-            payload, ok = run_task(task), True
-        except Exception as error:  # noqa: BLE001 — transported, re-raised
-            payload, ok = (type(error).__name__, str(error)), False
-        wall_ms = (time.perf_counter() - start) * 1000.0
-        out.append((index, ok, payload, wall_ms, pid))
-    return out
-
-
-def _run_chunk_captured(chunk, worker_id=None, flush=None):
-    """``_run_chunk`` with telemetry shipping: same records, plus payloads.
-
-    A :class:`~repro.obs.ship.TelemetryCapture` is activated around the
-    chunk so any cloud the tasks build attaches the capture bus.  After
-    each cell the capture is drained; payloads are either handed to
-    ``flush`` (the remote worker streams them as ``TELEMETRY`` frames) or
-    accumulated and returned (the pool pickles them with the records).
-
-    The records themselves are computed exactly as ``_run_chunk`` does —
-    telemetry must never perturb results.
-    """
-    from repro.obs.ship import TelemetryCapture
-
-    capture = TelemetryCapture(worker_id=worker_id)
-    out = []
+    capture = None
+    context = contextlib.nullcontext()
+    if ship:
+        from repro.obs.ship import TelemetryCapture
+        capture = context = TelemetryCapture(worker_id=worker_id)
+    records = []
     payloads = []
     pid = os.getpid()
-    with capture:
+    with context:
         for index, task in chunk:
-            capture.begin_cell(index, task)
+            if capture is not None:
+                capture.begin_cell(index, task)
             start = time.perf_counter()
             try:
                 payload, ok = run_task(task), True
             except Exception as error:  # noqa: BLE001 — transported
                 payload, ok = (type(error).__name__, str(error)), False
             wall_ms = (time.perf_counter() - start) * 1000.0
-            capture.end_cell(ok, wall_ms)
-            out.append((index, ok, payload, wall_ms, pid))
-            shipped = capture.drain(cell=index)
-            if flush is not None:
-                flush(shipped)
-            else:
-                payloads.append(shipped)
-    return out, payloads
+            records.append((index, ok, payload, wall_ms, pid))
+            if capture is not None:
+                capture.end_cell(ok, wall_ms)
+                shipped = capture.drain(cell=index)
+                if flush is not None:
+                    flush(shipped)
+                else:
+                    payloads.append(shipped)
+    return records, payloads
 
 
-def _run_chunk_shipped(chunk):
-    """Pool entry point (module-level so it pickles): records + payloads."""
-    return _run_chunk_captured(chunk)
+def chunk_failure_records(chunk, error):
+    """Deterministic failure records for a chunk lost to infrastructure.
+
+    A dead worker, a broken pool or a result that failed to pickle is
+    not a task bug: the third payload element marks the loss so reports
+    can tell the two apart, and the root cause (``BrokenProcessPool``,
+    ``TransportError``, ...) rides along as the error type.
+    """
+    return [(index, False, (type(error).__name__, str(error), True),
+             0.0, -1)
+            for index, _ in chunk]
+
+
+def is_chunk_failure(record):
+    """Whether ``record`` came from :func:`chunk_failure_records`."""
+    _, ok, payload, _, _ = record
+    return not ok and len(payload) > 2 and bool(payload[2])
+
+
+def check_liveness(heartbeat_s, join_timeout_s, chunk_deadline_s,
+                   max_requeues):
+    """Refuse remote liveness settings no coordinator could honour.
+
+    Shared by :class:`SweepEngine` and
+    :class:`~repro.engine.remote.SweepCoordinator`, so both reject the
+    same values; ``chunk_deadline_s=None`` means no deadline.
+    """
+    for name, value in (("heartbeat_s", heartbeat_s),
+                        ("join_timeout_s", join_timeout_s),
+                        ("chunk_deadline_s", chunk_deadline_s)):
+        if value is not None and not value > 0:  # NaN fails too
+            raise ConfigurationError(
+                "{} must be positive, got {!r}".format(name, value))
+    non_negative_count("max_requeues", max_requeues)
 
 
 def _chunk(pairs, chunk_size):
@@ -200,8 +226,10 @@ class SweepEngine(object):
                                                               BACKENDS))
         self.backend = backend
         self.bind = bind
-        self.remote_workers = (int(remote_workers)
-                               if remote_workers else None)
+        self.remote_workers = non_negative_count(
+            "remote_workers", remote_workers or 0) or None
+        check_liveness(heartbeat_s, join_timeout_s, chunk_deadline_s,
+                       max_requeues)
         self.heartbeat_s = float(heartbeat_s)
         self.chunk_deadline_s = chunk_deadline_s
         self.join_timeout_s = float(join_timeout_s)
@@ -219,11 +247,18 @@ class SweepEngine(object):
         #: ``resume=DIR`` additionally *replays* DIR's journal first and
         #: dispatches only the missing chunks — output byte-identical to
         #: an uninterrupted run.  See :mod:`repro.engine.journal`.
+        if journal and resume and (os.path.abspath(journal)
+                                   != os.path.abspath(resume)):
+            raise ConfigurationError(
+                "journal {!r} and resume {!r} name different directories; "
+                "a resumed run appends to the journal it "
+                "replays".format(journal, resume))
         self.journal = journal
         self.resume = resume
         #: ``chunk_hook(chunk_id, records)`` fires after each freshly
-        #: accepted (non-replayed) chunk is absorbed and journaled —
-        #: the :class:`~repro.faults.fleet.FleetChaos` injection point.
+        #: accepted (non-replayed) chunk is absorbed and journaled, on
+        #: every backend, journaled or not — the
+        #: :class:`~repro.faults.fleet.FleetChaos` injection point.
         #: Exceptions propagate and abort the sweep (a simulated crash).
         self.chunk_hook = chunk_hook
         #: Directory for per-worker log files when the engine spawns
@@ -283,38 +318,25 @@ class SweepEngine(object):
                        mode="serial", wall_s=0.0, utilization=0.0)
             return []
         self._merge = self._make_merge(started, len(tasks))
-        plan = state = None
         try:
-            if self.journal or self.resume:
-                plan, state = self._open_journal(tasks, lanes, grid_hash,
-                                                 started)
+            plan, state = self._plan(tasks, lanes, grid_hash, started)
             if self.backend == "remote":
-                outcome = self._run_remote(tasks, lanes, started,
-                                           plan=plan, state=state)
+                outcome = self._run_remote(started, plan, state)
                 if outcome is not None:
                     return outcome
                 # Degrade to the local pool (then serial) below.  With a
                 # resume in flight the replayed results live in ``state``
                 # and survive the downgrade untouched.
             if workers <= 1:
-                if plan is not None:
-                    return self._run_serial_chunks(tasks, started,
-                                                   mode="serial",
-                                                   plan=plan, state=state)
-                return self._run_serial(tasks, started, mode="serial")
+                return self._run_serial(started, "serial", plan, state)
             pool = self._make_pool(workers)
             if pool is None:
                 self._emit("sweep.fallback", started, cells=len(tasks),
                            reason="process pool unavailable")
-                if plan is not None:
-                    return self._run_serial_chunks(
-                        tasks, started, mode="serial-fallback",
-                        plan=plan, state=state)
-                return self._run_serial(tasks, started,
-                                        mode="serial-fallback")
+                return self._run_serial(started, "serial-fallback", plan,
+                                        state)
             with pool:
-                return self._run_pool(pool, tasks, workers, started,
-                                      plan=plan, state=state)
+                return self._run_pool(pool, workers, started, plan, state)
         finally:
             merge, self._merge = self._merge, None
             if merge is not None:
@@ -323,16 +345,39 @@ class SweepEngine(object):
             if journal is not None:
                 journal.close()
 
-    # -- journal / resume -----------------------------------------------------
-    def _open_journal(self, tasks, lanes, grid_hash, started):
-        """Open (or resume) the chunk journal; returns ``(plan, state)``.
+    # -- chunk plan / journal -------------------------------------------------
+    def _plan(self, tasks, lanes, grid_hash, started):
+        """The chunks to run and the state their records land in.
 
-        ``plan`` is the list of ``(chunk_id, chunk)`` pairs still to run;
-        ``state`` carries the shared results/failures/busy-time that the
-        replay already populated.  Chunk ids always come from chunking
-        the *full* task list with the journal's chunk size, so a resumed
-        run dispatches the missing chunks under their original ids — a
-        worker that spooled chunk 7 across the crash still matches.
+        Returns ``(plan, state)``: ``plan`` is the list of ``(chunk_id,
+        chunk)`` pairs every backend dispatches; ``state`` carries the
+        shared results, failures and busy time.  Chunk ids always come
+        from chunking the *full* task list, so a resumed run dispatches
+        the missing chunks under their original ids — a worker that
+        spooled chunk 7 across the crash still matches.
+        """
+        state = {"results": [None] * len(tasks), "failures": [],
+                 "busy_ms": 0.0}
+        chunk_size = self._resolve_chunk_size(len(tasks), lanes)
+        done = {}
+        if self.journal or self.resume:
+            chunk_size, done = self._open_journal(tasks, chunk_size,
+                                                  grid_hash, state, started)
+        plan = [(chunk_id, chunk) for chunk_id, chunk
+                in enumerate(_chunk(list(enumerate(tasks)), chunk_size))
+                if chunk_id not in done]
+        if done:
+            self._emit("sweep.resumed", started, chunks=len(done),
+                       cells=sum(done.values()), remaining=len(plan))
+        return plan, state
+
+    def _open_journal(self, tasks, chunk_size, grid_hash, state, started):
+        """Open (or resume) the chunk journal.
+
+        Returns ``(chunk_size, done)``: a fresh journal records
+        ``chunk_size``; a resume takes the journal's own and replays it
+        into ``state``, and ``done`` maps each replayed chunk id to its
+        cell count.
 
         Replay streams the journal (:meth:`ChunkJournal.stream`): each
         chunk's records are decoded, absorbed, and dropped before the
@@ -344,14 +389,9 @@ class SweepEngine(object):
         """
         from repro.engine.journal import ChunkJournal, guard_hash_for_tasks
 
-        directory = self.resume or self.journal
-        journal = ChunkJournal(directory)
+        journal = ChunkJournal(self.resume or self.journal)
         guard = grid_hash or guard_hash_for_tasks(tasks)
-        pairs = list(enumerate(tasks))
-        state = {"results": [None] * len(tasks), "failures": [],
-                 "busy_ms": 0.0}
-        done = set()
-        replayed_cells = 0
+        done = {}
         if self.resume:
             if not journal.exists():
                 raise ConfigurationError(
@@ -361,43 +401,37 @@ class SweepEngine(object):
                                                        cells=len(tasks)):
                 if chunk_id in done:
                     continue
-                done.add(chunk_id)
+                done[chunk_id] = len(records)
                 for record in records:
-                    state["busy_ms"] += self._absorb(
-                        record, state["results"], state["failures"],
-                        started, replayed=True)
-                replayed_cells += len(records)
+                    self._absorb(record, state, started, replayed=True)
             chunk_size = journal.header["chunk_size"]
             journal.reopen_for_append()
         else:
-            chunk_size = self._resolve_chunk_size(len(pairs), lanes)
-            chunks = _chunk(pairs, chunk_size)
-            journal.begin(guard, len(tasks), chunk_size, len(chunks))
-        all_chunks = list(enumerate(_chunk(pairs, chunk_size)))
-        plan = [(chunk_id, chunk) for chunk_id, chunk in all_chunks
-                if chunk_id not in done]
+            journal.begin(guard, len(tasks), chunk_size,
+                          -(-len(tasks) // chunk_size))
         self._journal = journal
-        if done:
-            self._emit("sweep.resumed", started, chunks=len(done),
-                       cells=replayed_cells, remaining=len(plan))
-        return plan, state
+        return chunk_size, done
 
-    def _journal_chunk(self, chunk_id, chunk, records, worker=None):
-        """Durably record one freshly accepted chunk, then fire the hook.
+    def _accept_chunk(self, chunk_id, chunk, records, state, started,
+                      worker, inflight=None):
+        """Absorb one freshly accepted chunk, journal it, fire the hook.
 
-        Infrastructure-loss placeholder records (a dead worker or broken
-        pool after max requeues) are *not* journaled — a resume should
-        retry those chunks, not replay their failure.  The chaos hook
-        fires for every accepted chunk; its exceptions propagate (that is
-        the point — a simulated coordinator crash).
+        Every backend accepts its chunks here.  A chunk lost to
+        infrastructure (:func:`is_chunk_failure`) is neither journaled —
+        a resume retries it instead of replaying the loss — nor handed to
+        the hook, whose exceptions propagate (a simulated coordinator
+        crash).
         """
-        infra_loss = records and all(
-            (not ok) and pid == -1 and len(payload) > 2 and payload[2]
-            for _, ok, payload, _, pid in records)
-        if self._journal is not None and not infra_loss:
+        for record in records:
+            self._absorb(record, state, started)
+        if inflight is not None:
+            inflight.dec(len(chunk))
+        if records and all(is_chunk_failure(record) for record in records):
+            return
+        if self._journal is not None:
             self._journal.append(chunk_id, [index for index, _ in chunk],
                                  records, worker=worker)
-        if self.chunk_hook is not None and not infra_loss:
+        if self.chunk_hook is not None:
             self.chunk_hook(chunk_id, records)
 
     def _make_merge(self, started, cells):
@@ -448,100 +482,51 @@ class SweepEngine(object):
         except (ImportError, NotImplementedError, OSError, ValueError):
             return None
 
-    def _run_serial(self, tasks, started, mode):
+    def _run_serial(self, started, mode, plan, state):
+        """In-process execution of the chunk plan: the reference."""
         self.last_mode = mode
-        results = [None] * len(tasks)
-        failures = []
-        busy_ms = 0.0
-        for index, task in enumerate(tasks):
-            if self._merge is not None:
-                records, payloads = _run_chunk_captured(
-                    [(index, task)], worker_id="serial")
-                for payload in payloads:
-                    self._merge.merge(payload, chunk=index)
-            else:
-                records = _run_chunk([(index, task)])
-            for record in records:
-                busy_ms += self._absorb(record, results, failures, started)
-        return self._finish(results, failures, started, workers=1,
-                            mode=mode, busy_ms=busy_ms)
-
-    def _run_serial_chunks(self, tasks, started, mode, plan, state):
-        """Serial execution over an explicit chunk plan (journaled runs).
-
-        Identical records to :meth:`_run_serial` — chunk boundaries only
-        decide journal granularity, never results.
-        """
-        self.last_mode = mode
+        ship = self._merge is not None
         for chunk_id, chunk in plan:
-            if self._merge is not None:
-                records, payloads = _run_chunk_captured(
-                    chunk, worker_id="serial")
-                for payload in payloads:
-                    self._merge.merge(payload, chunk=chunk_id)
-            else:
-                records = _run_chunk(chunk)
-            for record in records:
-                state["busy_ms"] += self._absorb(
-                    record, state["results"], state["failures"], started)
-            self._journal_chunk(chunk_id, chunk, records, worker="serial")
-        return self._finish(state["results"], state["failures"], started,
-                            workers=1, mode=mode,
-                            busy_ms=state["busy_ms"])
+            records, payloads = _run_chunk(chunk, ship=ship,
+                                           worker_id="serial")
+            for payload in payloads:
+                self._merge.merge(payload, chunk=chunk_id)
+            self._accept_chunk(chunk_id, chunk, records, state, started,
+                               "serial")
+        return self._finish(state, started, workers=1, mode=mode)
 
-    def _run_pool(self, pool, tasks, workers, started, plan=None,
-                  state=None):
+    def _run_pool(self, pool, workers, started, plan, state):
         import concurrent.futures
 
         self.last_mode = "pool"
-        if plan is None:
-            pairs = list(enumerate(tasks))
-            plan = list(enumerate(_chunk(
-                pairs, self._resolve_chunk_size(len(pairs), workers))))
-        if state is None:
-            state = {"results": [None] * len(tasks), "failures": [],
-                     "busy_ms": 0.0}
         inflight = self._gauge("sweep_cells_inflight")
         if inflight is not None:
             inflight.set(sum(len(chunk) for _, chunk in plan))
-        runner = _run_chunk if self._merge is None else _run_chunk_shipped
-        futures = {pool.submit(runner, chunk): (chunk_id, chunk)
+        ship = self._merge is not None
+        futures = {pool.submit(_run_chunk, chunk, ship): (chunk_id, chunk)
                    for chunk_id, chunk in plan}
-        results = state["results"]
-        failures = state["failures"]
         for future in concurrent.futures.as_completed(futures):
             chunk_id, chunk = futures[future]
-            payloads = []
             try:
-                records = future.result()
-                if self._merge is not None:
-                    records, payloads = records
+                records, payloads = future.result()
             except Exception as error:  # noqa: BLE001 — per-cell report
-                # The whole chunk is lost (e.g. its results failed to
-                # pickle, or a worker died): infrastructure loss, not a
-                # task bug — the third payload element marks it so
-                # reports can tell the two apart, and the root cause
-                # (BrokenProcessPool, PicklingError, ...) rides along as
-                # the error type.
-                records = [(index, False,
-                            (type(error).__name__, str(error), True),
-                            0.0, -1)
-                           for index, _ in chunk]
-            for record in records:
-                state["busy_ms"] += self._absorb(record, results,
-                                                 failures, started)
-            self._journal_chunk(chunk_id, chunk, records, worker="pool")
+                # The whole chunk is lost (its results failed to pickle,
+                # or a worker died).
+                records, payloads = chunk_failure_records(chunk, error), []
+            self._accept_chunk(chunk_id, chunk, records, state, started,
+                               "pool", inflight)
             for payload in payloads:
                 self._merge.merge(payload, chunk=chunk_id)
-            if inflight is not None:
-                inflight.dec(len(chunk))
-        return self._finish(results, failures, started, workers=workers,
-                            mode="pool", busy_ms=state["busy_ms"])
+        return self._finish(state, started, workers=workers, mode="pool")
 
-    def _run_remote(self, tasks, lanes, started, plan=None, state=None):
+    def _run_remote(self, started, plan, state):
         """Serve chunks to socket workers; None = degrade to the pool."""
         from repro.engine.protocol import parse_address
         from repro.engine.remote import SweepCoordinator, spawn_local_workers
+
+        def fallback(reason):
+            self._emit("sweep.fallback", started,
+                       cells=len(state["results"]), reason=reason)
 
         host, port = parse_address(self.bind)
         coordinator = SweepCoordinator(
@@ -560,9 +545,7 @@ class SweepEngine(object):
             try:
                 coordinator.start()
             except TransportError as error:
-                self._emit("sweep.fallback", started, cells=len(tasks),
-                           reason="coordinator unavailable: "
-                                  "{}".format(error))
+                fallback("coordinator unavailable: {}".format(error))
                 return None
             if self.remote_workers:
                 try:
@@ -575,45 +558,27 @@ class SweepEngine(object):
                         log_dir=self.worker_log_dir,
                         token=self.auth_token)
                 except OSError as error:
-                    self._emit("sweep.fallback", started,
-                               cells=len(tasks),
-                               reason="cannot spawn workers: "
-                                      "{}".format(error))
+                    fallback("cannot spawn workers: {}".format(error))
                     return None
             self.last_mode = "remote"
-            if plan is None:
-                pairs = list(enumerate(tasks))
-                plan = list(enumerate(_chunk(
-                    pairs, self._resolve_chunk_size(len(pairs), lanes))))
-            if state is None:
-                state = {"results": [None] * len(tasks), "failures": [],
-                         "busy_ms": 0.0}
             inflight = self._gauge("sweep_cells_inflight")
             if inflight is not None:
                 inflight.set(sum(len(chunk) for _, chunk in plan))
-            results = state["results"]
-            failures = state["failures"]
             try:
                 for chunk_id, chunk, worker_id, records \
                         in coordinator.run_chunks(plan):
-                    for record in records:
-                        state["busy_ms"] += self._absorb(
-                            record, results, failures, started)
-                        if inflight is not None:
-                            inflight.dec(1)
-                    self._journal_chunk(chunk_id, chunk, records,
-                                        worker=worker_id)
+                    self._accept_chunk(chunk_id, chunk, records, state,
+                                       started, worker_id, inflight)
             except TransportError as error:
                 # Nothing was absorbed (the coordinator only raises
                 # before the first worker joins), so the pool rerun
                 # starts clean — replayed journal state is untouched.
-                self._emit("sweep.fallback", started, cells=len(tasks),
-                           reason=str(error))
+                fallback(str(error))
                 return None
             self._set_worker_gauges(coordinator, started)
-            return self._finish(results, failures, started,
+            return self._finish(state, started,
                                 workers=max(1, coordinator.workers_seen),
-                                mode="remote", busy_ms=state["busy_ms"])
+                                mode="remote")
         finally:
             coordinator.close()
             for process in spawned:
@@ -627,7 +592,7 @@ class SweepEngine(object):
     def _merge_remote(self, worker_id, chunk_id, payloads):
         """Coordinator sink: merge an accepted chunk's shipped payloads.
 
-        Called from the engine thread (inside ``coordinator.run``'s
+        Called from the engine thread (inside the ``run_chunks``
         consumption loop), so the parent registry is never mutated from a
         handler thread.
         """
@@ -644,25 +609,27 @@ class SweepEngine(object):
                 worker=stats["worker"])
             gauge.set(min(1.0, (stats["busy_ms"] / 1000.0) / wall_s))
 
-    def _absorb(self, record, results, failures, started, replayed=False):
+    def _absorb(self, record, state, started, replayed=False):
+        """Fold one cell's record into ``state`` and report it."""
         index, ok, payload, wall_ms, pid = record
         chunk_failure = False
         if ok:
-            results[index] = payload
+            state["results"][index] = payload
         else:
-            chunk_failure = len(payload) > 2 and bool(payload[2])
-            failures.append(SweepFailure(index, payload[0], payload[1],
-                                         chunk_failure=chunk_failure))
+            chunk_failure = is_chunk_failure(record)
+            state["failures"].append(SweepFailure(
+                index, payload[0], payload[1], chunk_failure=chunk_failure))
+        state["busy_ms"] += wall_ms
         fields = dict(index=index, ok=ok, wall_ms=wall_ms,
                       worker_pid=pid, chunk_failure=chunk_failure)
         if replayed:
             fields["replayed"] = True
         self._emit("sweep.cell", started, **fields)
-        return wall_ms
 
-    def _finish(self, results, failures, started, workers, mode, busy_ms):
+    def _finish(self, state, started, workers, mode):
+        results = state["results"]
         wall_s = time.perf_counter() - started
-        utilization = (busy_ms / 1000.0) / (workers * wall_s) \
+        utilization = (state["busy_ms"] / 1000.0) / (workers * wall_s) \
             if wall_s > 0 else 0.0
         gauge = self._gauge("sweep_worker_utilization")
         if gauge is not None:
@@ -670,16 +637,6 @@ class SweepEngine(object):
         self._emit("sweep.done", started, cells=len(results),
                    workers=workers, mode=mode, wall_s=wall_s,
                    utilization=utilization)
-        if failures:
-            raise SweepError(failures)
+        if state["failures"]:
+            raise SweepError(state["failures"])
         return results
-
-
-def run_sweep(tasks, workers=1, chunk_size=None, obs=None, **options):
-    """One-shot convenience wrapper around :class:`SweepEngine`.
-
-    Extra keyword ``options`` (``backend``, ``remote_workers``, ...)
-    pass straight through to the engine constructor.
-    """
-    return SweepEngine(workers=workers, chunk_size=chunk_size,
-                       obs=obs, **options).run(tasks)

@@ -7,13 +7,15 @@ message.  Messages are plain tuples whose first element names the kind:
   connection;
 * ``("task", chunk_id, chunk, want_telemetry)`` — coordinator →
   worker, always this one shape; ``chunk`` is a list of ``(index,
-  task)`` pairs, exactly what the local pool's ``_run_chunk`` consumes,
-  and ``want_telemetry`` asks the worker to capture and ship telemetry
-  for the chunk.  A worker refuses any other shape with
+  task)`` pairs, exactly what every backend hands the engine's one
+  chunk runner (``executor._run_chunk``), and ``want_telemetry`` asks
+  the worker to capture and ship telemetry for the chunk.  A worker
+  refuses any other shape with
   :class:`~repro.common.errors.TransportError`;
 * ``("result", chunk_id, records)`` — worker → coordinator; ``records``
-  is the ``(index, ok, payload, wall_ms, pid)`` list ``_run_chunk``
-  produced, so results merge through the engine's normal absorb path;
+  is the ``(index, ok, payload, wall_ms, pid)`` list that runner
+  returned, so results merge through the engine's normal acceptance
+  path;
 * ``("telemetry", chunk_id, payload)`` — worker → coordinator; one
   drained :class:`~repro.obs.ship.TelemetryCapture` payload (events +
   metric deltas + spans for a finished cell).  Flushed opportunistically

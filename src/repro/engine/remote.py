@@ -3,14 +3,17 @@
 The local pool backend tops out at one machine.  This module fans the
 same chunked ``(index, task)`` work units over TCP instead:
 
-* :class:`SweepCoordinator` listens on a socket, hands chunks to
-  whichever workers connect, and streams back the exact
-  ``(index, ok, payload, wall_ms, pid)`` records the in-process
-  ``_run_chunk`` produces — so the engine merges remote results through
-  its normal absorb path and the output stays byte-identical to
-  ``workers=1`` at any worker count and any disconnect pattern;
+* :class:`SweepCoordinator` serves the engine's chunk plan
+  (:meth:`~SweepCoordinator.run_chunks`): it listens on a socket, hands
+  chunks to whichever workers connect, and streams back the exact
+  ``(index, ok, payload, wall_ms, pid)`` records the engine's one chunk
+  runner (``executor._run_chunk``) produces — so the engine accepts
+  remote chunks through its normal path and the output stays
+  byte-identical to ``workers=1`` at any worker count and any
+  disconnect pattern;
 * :class:`SweepWorker` (``python -m repro sweep-worker --connect
-  host:port``) dials in, heartbeats, runs chunks, and reconnects with
+  host:port``) dials in, heartbeats, runs each chunk through that same
+  runner, and reconnects with
   :class:`~repro.core.resilience.ExponentialBackoff` when the link
   drops;
 * :func:`spawn_local_workers` launches loopback worker subprocesses for
@@ -19,13 +22,14 @@ same chunked ``(index, task)`` work units over TCP instead:
 Robustness model: every worker heartbeats while connected; the
 coordinator treats a silent or disconnected worker as lost, requeues its
 in-flight chunk (once per loss, ``max_requeues`` total), and only after
-the requeue budget is spent converts the chunk into deterministic
-``chunk_failure`` records.  Re-executed chunks are harmless — tasks are
-pure functions of their spec, and the coordinator deduplicates results
-by chunk id, first finisher wins.  The lifecycle is observable through
-``sweep.worker_joined`` / ``sweep.worker_lost`` /
-``sweep.worker_left`` / ``sweep.chunk_requeued`` events and per-worker
-utilization gauges.
+the requeue budget is spent converts the chunk into the deterministic
+``chunk_failure`` records every backend uses
+(:func:`~repro.engine.executor.chunk_failure_records`).  Re-executed
+chunks are harmless — tasks are pure functions of their spec, and the
+coordinator deduplicates results by chunk id, first finisher wins.  The
+lifecycle is observable through ``sweep.worker_joined`` /
+``sweep.worker_lost`` / ``sweep.worker_left`` / ``sweep.chunk_requeued``
+events and per-worker utilization gauges.
 
 Fleet hardening on top of that baseline:
 
@@ -51,9 +55,13 @@ import zlib
 
 from repro.common.errors import (
     AuthenticationError,
-    ConfigurationError,
     TransportError,
     TransportTimeout,
+)
+from repro.engine.executor import (
+    _run_chunk,
+    check_liveness,
+    chunk_failure_records,
 )
 from repro.engine.journal import UNDECODABLE
 from repro.engine.protocol import Transport, connect, server_auth
@@ -103,10 +111,8 @@ class SweepCoordinator(object):
                  chunk_deadline_s=None, join_timeout_s=10.0,
                  max_requeues=1, emit=None, telemetry=False,
                  telemetry_sink=None, auth_token=None):
-        if heartbeat_s <= 0:
-            raise ConfigurationError("heartbeat_s must be positive")
-        if max_requeues < 0:
-            raise ConfigurationError("max_requeues must be >= 0")
+        check_liveness(heartbeat_s, join_timeout_s, chunk_deadline_s,
+                       max_requeues)
         self.host = host
         self.port = int(port)
         #: Shared secret; None keeps the explicit anonymous loopback
@@ -297,9 +303,7 @@ class SweepCoordinator(object):
                 records = self._await_result(transport, chunk_id,
                                              worker_id, stats)
                 assignment = None
-                stats.busy_ms += sum(record[3] for record in records)
-                stats.chunks_done += 1
-                self._results.put((chunk_id, records, worker_id))
+                self._deliver(chunk_id, records, worker_id, stats)
             try:
                 transport.send(("bye",))
             except TransportError:
@@ -350,7 +354,7 @@ class SweepCoordinator(object):
             if kind == "result":
                 # A spool replay from before a disconnect: accept it —
                 # the run loop deduplicates by chunk id.
-                self._accept_offline_result(message, worker_id, stats)
+                self._deliver(message[1], message[2], worker_id, stats)
                 continue
             if kind == "leave":
                 try:
@@ -361,8 +365,8 @@ class SweepCoordinator(object):
             raise TransportError(
                 "unexpected message kind {!r}".format(kind))
 
-    def _accept_offline_result(self, message, worker_id, stats):
-        chunk_id, records = message[1], message[2]
+    def _deliver(self, chunk_id, records, worker_id, stats):
+        """Credit ``worker_id`` and queue the records for the run loop."""
         stats.busy_ms += sum(record[3] for record in records)
         stats.chunks_done += 1
         self._results.put((chunk_id, records, worker_id))
@@ -407,7 +411,7 @@ class SweepCoordinator(object):
                 # A result for some other chunk: a spool replay that
                 # raced the task frame (or a duplicate from a requeue).
                 # Accept it; the run loop deduplicates by chunk id.
-                self._accept_offline_result(message, worker_id, stats)
+                self._deliver(message[1], message[2], worker_id, stats)
                 continue
             raise TransportError(
                 "unexpected message kind {!r}".format(kind))
@@ -448,20 +452,9 @@ class SweepCoordinator(object):
             # (its cells report as failed, so merging success telemetry
             # for them would lie).
             self._results.put((chunk_id,
-                               _chunk_failure_records(chunk, error),
-                               None))
+                               chunk_failure_records(chunk, error), None))
 
     # -- the driving loop (engine side) ------------------------------------
-    def run(self, chunks):
-        """Yield records for every cell of ``chunks``, in arrival order.
-
-        Record-level convenience wrapper around :meth:`run_chunks` for
-        callers that chunk implicitly (ids are enumeration order).
-        """
-        for _, _, _, records in self.run_chunks(list(enumerate(chunks))):
-            for record in records:
-                yield record
-
     def run_chunks(self, plan):
         """Serve ``plan`` — ``(chunk_id, chunk)`` pairs — and yield each
         accepted chunk as ``(chunk_id, chunk, worker_id, records)``.
@@ -526,20 +519,13 @@ class SweepCoordinator(object):
         error = TransportError("all sweep workers lost; chunk abandoned")
         for chunk_id in sorted(expected):
             self._results.put((chunk_id,
-                               _chunk_failure_records(by_id[chunk_id],
-                                                      error),
+                               chunk_failure_records(by_id[chunk_id],
+                                                     error),
                                None))
 
 
 class _WorkerLeft(Exception):
     """Internal: a worker announced a graceful drain (not a failure)."""
-
-
-def _chunk_failure_records(chunk, error):
-    """Deterministic failure records for a chunk lost to infrastructure."""
-    return [(index, False,
-             (type(error).__name__, str(error), True), 0.0, -1)
-            for index, _ in chunk]
 
 
 class _TelemetryOutbox(object):
@@ -590,7 +576,6 @@ class SweepWorker(object):
                  max_reconnects=8, backoff=None, transport_factory=None,
                  run_chunk=None, token=None, spool=None):
         from repro.core.resilience import ExponentialBackoff
-        from repro.engine.executor import _run_chunk
         self.host = host
         self.port = int(port)
         self.worker_id = worker_id or "worker-{}".format(os.getpid())
@@ -603,9 +588,6 @@ class SweepWorker(object):
         self.spool = os.path.abspath(spool) if spool else None
         self._transport_factory = transport_factory
         self._run_chunk = run_chunk or _run_chunk
-        # Telemetry capture wraps the stock runner only; a custom
-        # run_chunk (test double) keeps its exact behavior.
-        self._default_runner = run_chunk is None
         self.chunks_done = 0
 
     def _dial(self):
@@ -699,27 +681,17 @@ class SweepWorker(object):
                 "malformed task frame of {} elements; expected ('task', "
                 "chunk_id, chunk, want_telemetry)".format(
                     len(message))) from None
-        if want_telemetry and self._default_runner:
-            from repro.engine.executor import _run_chunk_captured
-            records, _ = _run_chunk_captured(
-                chunk, worker_id=self.worker_id,
-                flush=lambda payload: outbox.put(chunk_id, payload))
-            try:
-                outbox.flush(transport,
-                             result=("result", chunk_id, records))
-            except TransportError:
-                self._spool_result(chunk_id, records)
-                raise
-        else:
-            records = self._run_chunk(chunk)
-            try:
-                transport.send(("result", chunk_id, records))
-            except TransportError:
-                # The work is done and deterministic — persist it and
-                # let the reconnect loop replay it instead of burning a
-                # requeue on the coordinator side.
-                self._spool_result(chunk_id, records)
-                raise
+        records, _ = self._run_chunk(
+            chunk, ship=want_telemetry, worker_id=self.worker_id,
+            flush=lambda payload: outbox.put(chunk_id, payload))
+        try:
+            outbox.flush(transport, result=("result", chunk_id, records))
+        except TransportError:
+            # The work is done and deterministic — persist it and let
+            # the reconnect loop replay it instead of burning a requeue
+            # on the coordinator side.
+            self._spool_result(chunk_id, records)
+            raise
         self.chunks_done += 1
 
     # -- result spooling ---------------------------------------------------
@@ -780,12 +752,6 @@ class SweepWorker(object):
                 transport.send(("heartbeat", self.worker_id))
             except TransportError:
                 return
-
-
-def run_worker(host, port, **kwargs):
-    """Blocking convenience wrapper: serve one coordinator, return the
-    number of chunks completed."""
-    return SweepWorker(host, port, **kwargs).run()
 
 
 def spawn_local_workers(address, count, python=None, extra_args=(),

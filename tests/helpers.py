@@ -78,3 +78,10 @@ def sleep_poll(cloud, deployment, n_requests=1000):
     cloud RNG, then place the burst with :meth:`Cloud.place_batch`."""
     duration = deployment.handler.duration_on(None, cloud.rng)
     return cloud.place_batch(deployment, n_requests, duration)
+
+
+def accepted_records(coordinator, chunks):
+    """Run ``chunks`` through ``coordinator.run_chunks`` (chunk ids in
+    enumeration order); yield each accepted record in arrival order."""
+    for _, _, _, records in coordinator.run_chunks(enumerate(chunks)):
+        yield from records

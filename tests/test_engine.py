@@ -32,7 +32,6 @@ from repro.engine import (
     SweepProgress,
     SweepTask,
     TemporalTask,
-    run_sweep,
 )
 from repro.obs import Observability
 
@@ -303,10 +302,6 @@ class TestEngineMechanics(object):
         assert failure.error_type == "ValueError"
         assert failure.message == "serial does not eat errors"
 
-    def test_run_sweep_wrapper(self):
-        results = run_sweep([_tiny_campaign_task()], workers=1)
-        assert results[0].polls_run == 2
-
     def test_chunk_size_validation(self):
         with pytest.raises(ValueError):
             SweepEngine(workers=2, chunk_size=0)
@@ -324,6 +319,58 @@ class TestEngineMechanics(object):
     def test_integral_worker_count_accepted(self):
         assert SweepEngine(workers=2.0).workers == 2
         assert SweepEngine(workers=2, chunk_size=3.0).chunk_size == 3
+
+    @pytest.mark.parametrize("setting, value", [
+        ("heartbeat_s", 0.0),
+        ("heartbeat_s", -1.0),
+        ("heartbeat_s", float("nan")),
+        ("max_requeues", -1),
+        ("join_timeout_s", 0.0),
+        ("join_timeout_s", -5.0),
+        ("chunk_deadline_s", 0.0),
+        ("chunk_deadline_s", -0.5),
+        ("remote_workers", -1),
+    ])
+    def test_bad_engine_setting_rejected(self, setting, value):
+        # Refused at construction, naming the setting: a negative worker
+        # count used to spawn nothing and wait out the join timeout.
+        with pytest.raises(ConfigurationError, match=setting):
+            SweepEngine(workers=2, backend="remote", **{setting: value})
+
+    def test_journal_and_resume_must_name_one_directory(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="journal"):
+            SweepEngine(journal=str(tmp_path / "a"),
+                        resume=str(tmp_path / "b"))
+        same = str(tmp_path / "a")
+        assert SweepEngine(journal=same, resume=same + os.sep).resume
+
+    def test_unset_optional_settings_accepted(self):
+        engine = SweepEngine(backend="remote", remote_workers=0,
+                             chunk_deadline_s=None, max_requeues=0)
+        assert engine.remote_workers is None
+        assert engine.chunk_deadline_s is None
+
+
+class TestChunkHook(object):
+    """``chunk_hook`` fires once per accepted chunk on every local path."""
+
+    @pytest.mark.parametrize("workers, start_method, journaled, mode", [
+        (1, None, False, "serial"),
+        (1, None, True, "serial"),
+        (2, "no-such-method", False, "serial-fallback"),
+        (2, None, False, "pool"),
+    ], ids=["serial", "serial-journal", "serial-fallback", "pool"])
+    def test_fires_once_per_accepted_chunk(self, tmp_path, workers,
+                                           start_method, journaled, mode):
+        fired = []
+        engine = SweepEngine(
+            workers=workers, start_method=start_method,
+            journal=str(tmp_path) if journaled else None,
+            chunk_hook=lambda chunk_id, records: fired.append(
+                (chunk_id, [record[0] for record in records])))
+        engine.run([_tiny_campaign_task(s) for s in range(4)])
+        assert engine.last_mode == mode
+        assert sorted(fired) == [(0, [0]), (1, [1]), (2, [2]), (3, [3])]
 
 
 # -- start-method selection -----------------------------------------------------

@@ -45,6 +45,7 @@ from repro.engine.protocol import (
     server_auth,
 )
 from repro.faults import CoordinatorCrash, FleetChaos, FleetEvent
+from tests.helpers import accepted_records
 
 
 def _tiny_task(seed=0, zone="us-west-1a"):
@@ -281,15 +282,21 @@ class TestResume:
     def test_infra_failures_are_not_journaled(self, tmp_path):
         # Chunk-failure placeholder records (pid -1 + chunk_failure flag)
         # must be retried on resume, not replayed as gospel.
+        fired = []
         engine = SweepEngine(workers=1, chunk_size=1,
-                             journal=str(tmp_path))
+                             journal=str(tmp_path),
+                             chunk_hook=lambda c, r: fired.append(c))
         tasks = _task_grid(2)
         records = [(0, False, ("TransportError", "lost", True), 0.0, -1)]
+        state = {"results": [None, None], "failures": [], "busy_ms": 0.0}
         engine._journal = ChunkJournal(str(tmp_path)).begin(
             "g", 2, 1, 2)
-        engine._journal_chunk(0, [(0, tasks[0])], records, worker=None)
+        engine._accept_chunk(0, [(0, tasks[0])], records, state, 0.0,
+                             worker=None)
         engine._journal.close()
         assert len(ChunkJournal(str(tmp_path)).load()) == 0
+        assert fired == []
+        assert state["failures"][0].chunk_failure
 
     def test_replay_emits_resumed_event(self, tmp_path):
         from repro.obs import Observability
@@ -454,16 +461,17 @@ class TestElasticity:
         coordinator.start()
         drain = threading.Event()
 
-        def drain_after_first(chunk):
+        def drain_after_first(chunk, **options):
             # Finish the chunk in hand, then ask to leave — the SIGTERM
             # drain path, minus the signal.
-            records = _run_chunk(chunk)
+            outcome = _run_chunk(chunk, **options)
             drain.set()
-            return records
+            return outcome
 
         records = []
         consumer = threading.Thread(
-            target=lambda: records.extend(coordinator.run(chunks)),
+            target=lambda: records.extend(
+                accepted_records(coordinator, chunks)),
             daemon=True)
         consumer.start()
         stayer = SweepWorker(*coordinator.address, worker_id="stay",
@@ -532,7 +540,8 @@ class TestElasticity:
                              transport_factory=factory)
         records = []
         consumer = threading.Thread(
-            target=lambda: records.extend(coordinator.run([chunk])),
+            target=lambda: records.extend(
+                accepted_records(coordinator, [chunk])),
             daemon=True)
         consumer.start()
         worker_thread = threading.Thread(target=worker.run, daemon=True)
@@ -602,7 +611,7 @@ class TestHangPath:
         coordinator.start()
         stalled = threading.Event()
 
-        def stalling_run_chunk(chunk):
+        def stalling_run_chunk(chunk, **options):
             if not stalled.is_set():
                 stalled.set()
                 # Accept the first chunk, then hang well past the
@@ -610,7 +619,7 @@ class TestHangPath:
                 # stuck worker, not a dead one.  After the coordinator
                 # cuts the connection the worker reconnects and behaves.
                 time.sleep(2.0)
-            return _run_chunk(chunk)
+            return _run_chunk(chunk, **options)
 
         # A single worker keeps the schedule deterministic: it stalls on
         # chunk 0, the deadline requeues it, and the same worker serves
@@ -620,7 +629,8 @@ class TestHangPath:
                              run_chunk=stalling_run_chunk)
         records = []
         consumer = threading.Thread(
-            target=lambda: records.extend(coordinator.run(chunks)),
+            target=lambda: records.extend(
+                accepted_records(coordinator, chunks)),
             daemon=True)
         consumer.start()
         threading.Thread(target=hanger.run, daemon=True).start()

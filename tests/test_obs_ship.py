@@ -265,6 +265,34 @@ class TestEngineTelemetry(object):
         assert workers
         assert all(worker.startswith("pid-") for worker in workers)
 
+    @pytest.mark.parametrize("workers, chunk_size", [(1, None), (2, 2)],
+                             ids=["serial", "pool"])
+    def test_two_cell_chunks_merge_under_plan_chunk_ids(self, workers,
+                                                        chunk_size):
+        # 8 cells in 2-cell chunks (the serial plan's default for 8
+        # cells), so chunk ids and cell indexes differ.
+        reference = _dumps(SweepEngine(workers=1).run(_task_grid(8)))
+        obs = Observability()
+        engine = SweepEngine(workers=workers, chunk_size=chunk_size,
+                             obs=obs, telemetry=True)
+        results = engine.run(_task_grid(8))
+        assert _dumps(results) == reference
+        telemetry = obs.recorder.events("sweep.telemetry")
+        assert len(telemetry) == 8
+        assert sorted(event.fields["chunk"] for event in telemetry) == \
+            [0, 0, 1, 1, 2, 2, 3, 3]
+        assert {event.fields["chunk"]
+                for event in obs.recorder.events("sampling.poll")} == \
+            {0, 1, 2, 3}
+        trace = obs.tracer.last_trace()
+        chunks = [span for span in trace.spans if span.name == "chunk"]
+        assert chunks
+        for chunk in chunks:
+            cells = trace.children(chunk.span_id)
+            assert cells
+            assert all(cell.tags["index"] // 2 == chunk.tags["chunk"]
+                       for cell in cells)
+
     def test_telemetry_without_obs_is_inert(self):
         reference = _dumps(SweepEngine(workers=1).run(_task_grid(2)))
         engine = SweepEngine(workers=1, telemetry=True)

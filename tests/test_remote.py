@@ -32,6 +32,7 @@ from repro.engine import protocol
 from repro.engine.executor import _chunk, _run_chunk
 from repro.engine.protocol import connect, encode_frame, parse_address
 from repro.obs import Observability
+from tests.helpers import accepted_records
 
 
 def _tiny_task(seed=0, zone="us-west-1a"):
@@ -120,10 +121,11 @@ class TestProtocol(object):
 class TestTaskFrame(object):
     @staticmethod
     def _worker():
-        return SweepWorker(
-            "127.0.0.1", 1, heartbeat_s=0.05,
-            run_chunk=lambda chunk: [(index, True, "ok", 0.0, 1)
-                                     for index, _ in chunk])
+        def run_chunk(chunk, ship=False, worker_id=None, flush=None):
+            return [(index, True, "ok", 0.0, 1) for index, _ in chunk], []
+
+        return SweepWorker("127.0.0.1", 1, heartbeat_s=0.05,
+                           run_chunk=run_chunk)
 
     def test_worker_serves_the_fixed_frame(self):
         coordinator_side, worker_side = _pair()
@@ -194,7 +196,8 @@ class TestCoordinator(object):
         coordinator = SweepCoordinator(join_timeout_s=0.3)
         with coordinator:
             with pytest.raises(TransportError):
-                list(coordinator.run(_chunk([(0, _tiny_task())], 1)))
+                list(accepted_records(coordinator,
+                                      _chunk([(0, _tiny_task())], 1)))
 
     def test_requeue_once_then_complete(self):
         events = []
@@ -205,7 +208,8 @@ class TestCoordinator(object):
         records = []
         with coordinator:
             driver = threading.Thread(
-                target=lambda: records.extend(coordinator.run(chunks)),
+                target=lambda: records.extend(
+                    accepted_records(coordinator, chunks)),
                 daemon=True)
             driver.start()
             # First worker takes the chunk, then vanishes mid-flight.
@@ -219,7 +223,7 @@ class TestCoordinator(object):
             message = solid.recv(timeout=5.0)
             # One fixed frame shape, telemetry on or off.
             assert message == ("task", 0, message[2], False)
-            solid.send(("result", message[1], _run_chunk(message[2])))
+            solid.send(("result", message[1], _run_chunk(message[2])[0]))
             driver.join(timeout=10.0)
             assert not driver.is_alive()
             assert solid.recv(timeout=5.0) == ("bye",)
@@ -244,7 +248,8 @@ class TestCoordinator(object):
         records = []
         with coordinator:
             driver = threading.Thread(
-                target=lambda: records.extend(coordinator.run(chunks)),
+                target=lambda: records.extend(
+                    accepted_records(coordinator, chunks)),
                 daemon=True)
             driver.start()
             flaky = connect(*coordinator.address)
@@ -268,7 +273,8 @@ class TestCoordinator(object):
         records = []
         with coordinator:
             driver = threading.Thread(
-                target=lambda: records.extend(coordinator.run(chunks)),
+                target=lambda: records.extend(
+                    accepted_records(coordinator, chunks)),
                 daemon=True)
             driver.start()
             # A worker that heartbeats forever but never produces results.
@@ -290,7 +296,7 @@ class TestCoordinator(object):
             solid.send(("hello", "solid", 2))
             message = solid.recv(timeout=10.0)
             assert message[0] == "task"
-            solid.send(("result", message[1], _run_chunk(message[2])))
+            solid.send(("result", message[1], _run_chunk(message[2])[0]))
             driver.join(timeout=15.0)
             stop.set()
             assert not driver.is_alive()
@@ -319,7 +325,8 @@ class TestDistributedDeterminism(object):
                 threads.append(thread)
             results = [None] * len(tasks)
             chunks = _chunk(list(enumerate(tasks)), 1)
-            for index, ok, payload, _, _ in coordinator.run(chunks):
+            accepted = accepted_records(coordinator, chunks)
+            for index, ok, payload, _, _ in accepted:
                 assert ok, payload
                 results[index] = payload
             for thread in threads:
@@ -339,7 +346,8 @@ class TestDistributedDeterminism(object):
                 results = [None] * len(tasks)
                 chunks = _chunk(list(enumerate(tasks)), 1)
                 killed = False
-                for index, ok, payload, _, _ in coordinator.run(chunks):
+                accepted = accepted_records(coordinator, chunks)
+                for index, ok, payload, _, _ in accepted:
                     assert ok, payload
                     results[index] = payload
                     if not killed:
@@ -394,7 +402,8 @@ class TestDistributedDeterminism(object):
                 threads.append(thread)
             results = [None] * len(tasks)
             chunks = _chunk(list(enumerate(tasks)), 1)
-            for index, ok, payload, _, _ in coordinator.run(chunks):
+            accepted = accepted_records(coordinator, chunks)
+            for index, ok, payload, _, _ in accepted:
                 assert ok, payload
                 results[index] = payload
             stop.set()
@@ -491,7 +500,8 @@ class TestRemoteTelemetry(object):
                 pids = [None] * len(tasks)
                 chunks = _chunk(list(enumerate(tasks)), 1)
                 killed = False
-                for index, ok, payload, _, pid in coordinator.run(chunks):
+                accepted = accepted_records(coordinator, chunks)
+                for index, ok, payload, _, pid in accepted:
                     assert ok, payload
                     results[index] = payload
                     pids[index] = pid
@@ -526,7 +536,8 @@ class TestRemoteTelemetry(object):
         records = []
         with coordinator:
             driver = threading.Thread(
-                target=lambda: records.extend(coordinator.run(chunks)),
+                target=lambda: records.extend(
+                    accepted_records(coordinator, chunks)),
                 daemon=True)
             driver.start()
             worker = SweepWorker(*coordinator.address, worker_id="plain",
