@@ -40,11 +40,7 @@ import os
 import sys
 
 from repro import (
-    BaselinePolicy,
-    HybridPolicy,
     Observability,
-    RetryRoutingPolicy,
-    RoutingStudy,
     SamplingCampaign,
     SkyController,
     SkyMesh,
@@ -611,31 +607,21 @@ def cmd_study(args, out):
     workloads = [w.strip() for w in args.workload.split(",") if w.strip()]
     for name in workloads:
         workload_by_name(name)  # fail fast on unknown workloads
+    from repro.engine import CloudSpec, Grid, StudyTask, SweepEngine
     if len(workloads) == 1:
-        cloud = build_sky(seed=args.seed, aws_only=True)
-        study = RoutingStudy.from_names(
-            cloud, workloads[0], zones, sampling_count=10,
-            account_id="cli", days=args.days, burst_size=args.burst,
-            polls_per_day=6)
-        results = [study.run([
-            BaselinePolicy(args.baseline_zone),
-            RetryRoutingPolicy(args.baseline_zone, "retry_slow"),
-            RetryRoutingPolicy(args.baseline_zone, "focus_fastest"),
-            HybridPolicy("focus_fastest"),
-        ])]
+        # One study runs on the root seed itself.
+        seeds = [args.seed]
     else:
-        # Multi-workload: one independent study per workload, fanned out
-        # over the parallel engine with spawn-keyed cell seeds.
-        from repro.engine import CloudSpec, Grid, StudyTask, SweepEngine
+        # One independent study per workload, each on a spawn-keyed seed.
         grid = Grid([("workload", workloads)], root_seed=args.seed,
                     namespace="study")
-        tasks = [StudyTask(
-            CloudSpec.for_zones(zones, seed=cell.seed),
-            dict(cell.key)["workload"], zones,
-            baseline_zone=args.baseline_zone, days=args.days,
-            burst_size=args.burst, polls_per_day=6)
-            for cell in grid.cells()]
-        results = SweepEngine(workers=args.workers).run(tasks)
+        seeds = [cell.seed for cell in grid.cells()]
+    tasks = [StudyTask(
+        CloudSpec.for_zones(zones, seed=seed), workload_name, zones,
+        baseline_zone=args.baseline_zone, days=args.days,
+        burst_size=args.burst, polls_per_day=6)
+        for workload_name, seed in zip(workloads, seeds)]
+    results = SweepEngine(workers=args.workers).run(tasks)
     for workload_name, result in zip(workloads, results):
         _write_study_block(out, workload_name, args, result)
     payloads = [reporting.study_result_to_dict(r) for r in results]

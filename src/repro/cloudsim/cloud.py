@@ -252,11 +252,11 @@ class BatchPollResult(object):
 class Cloud(object):
     """A multi-provider, multi-region simulated sky of FaaS platforms."""
 
-    def __init__(self, clock=None, seed=0, network=None):
+    def __init__(self, clock=None, seed=0):
         self.clock = clock if clock is not None else SimClock()
         self.seed = seed
         self.rng = derive_rng(seed, "cloud")
-        self.network = network or NetworkModel()
+        self.network = NetworkModel()
         self.regions = {}
         #: zone_id -> region, for every zone registered (built or not).
         self._zone_regions = {}

@@ -144,11 +144,12 @@ PROVIDERS = {
 CORE_PROVIDERS = ("aws", "ibm", "do")
 
 
-def register_provider(config, replace=False):
+def register_provider(config):
     """Register ``config`` so it resolves by name everywhere a provider
     name is accepted (catalog install, ``CloudSpec``, CLI ``--provider``).
+    A name registers once.
     """
-    if not replace and config.name in PROVIDERS:
+    if config.name in PROVIDERS:
         raise ConfigurationError(
             "provider {!r} already registered".format(config.name))
     PROVIDERS[config.name] = config

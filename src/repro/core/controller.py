@@ -8,7 +8,7 @@ One object owning the full serverless-sky lifecycle:
   stability tracker says the current profile has gone stale (volatile
   zones daily, stable zones weekly — the §4.4 cost optimization);
 * **routing** — serve workload requests/bursts through a SmartRouter with
-  any policy, optionally feeding passive observations back into the store.
+  any policy, feeding passive observations back into the store.
 
 This is what a downstream user adopts: point it at a cloud, call
 ``submit``.
@@ -18,7 +18,7 @@ from repro.common.errors import ConfigurationError
 from repro.common.units import Money
 from repro.core.characterization_store import CharacterizationStore
 from repro.core.policies import HybridPolicy
-from repro.core.router import SmartRouter
+from repro.core.router import MEMORY_MB, SmartRouter
 from repro.core.telemetry import RoutingTelemetry
 from repro.core.runner import WorkloadRunner
 from repro.dynfunc.handler import UniversalDynamicFunctionHandler
@@ -31,29 +31,21 @@ from repro.workloads.registry import resolve_runtime_model
 class SkyController(object):
     """Characterization-driven routing with adaptive profiling cadence."""
 
-    def __init__(self, cloud, account, zones, policy=None, memory_mb=2048,
-                 arch="x86_64", polls_per_refresh=6, poll_requests=1000,
-                 sampling_count=10, passive=True, client=None,
-                 tracker=None, recovery_gap=None, obs=None, telemetry=None,
-                 health=None, resilience=None):
+    def __init__(self, cloud, account, zones, policy=None,
+                 polls_per_refresh=6, poll_requests=1000, sampling_count=10,
+                 obs=None, health=None):
         if not zones:
             raise ConfigurationError("controller needs candidate zones")
         self.cloud = cloud
         self.account = account
         self.zones = list(zones)
         self.policy = policy or HybridPolicy("focus_fastest")
-        self.memory_mb = memory_mb
-        self.arch = arch
         self.polls_per_refresh = int(polls_per_refresh)
         self.poll_requests = int(poll_requests)
         # After sampling, wait for the sampling FIs' keep-alives to lapse
         # so profiling traffic never crowds out the workload itself.
-        if recovery_gap is None:
-            provider = cloud.region_of_zone(self.zones[0]).provider
-            recovery_gap = provider.adapter.keepalive.idle_ttl * 1.2
-        self.recovery_gap = float(recovery_gap)
-        self.passive = passive
-        self.client = client
+        provider = cloud.region_of_zone(self.zones[0]).provider
+        self.recovery_gap = provider.adapter.keepalive.idle_ttl * 1.2
         # Observability is opt-in per controller: passing an
         # ``Observability`` wires its bus through the cloud's zones and
         # pools, and every router created here traces + records telemetry.
@@ -61,15 +53,13 @@ class SkyController(object):
         if obs is not None:
             obs.install(cloud)
         # Resilience is opt-in the same way: a shared ZoneHealthTracker
-        # (breaker state survives across routers) plus a ResilienceConfig
-        # handed to every router created here.
+        # (breaker state survives across routers) handed to every router
+        # created here.
         self.health = health
-        self.resilience = resilience
-        self.telemetry = telemetry if telemetry is not None \
-            else RoutingTelemetry()
+        self.telemetry = RoutingTelemetry()
         self.mesh = SkyMesh(cloud)
         self.store = CharacterizationStore()
-        self.tracker = tracker or ZoneStabilityTracker()
+        self.tracker = ZoneStabilityTracker()
         self.runner = WorkloadRunner(cloud)
         self._sampling_cost = Money(0)
         self._sampling_endpoints = {}
@@ -80,8 +70,8 @@ class SkyController(object):
         handler = UniversalDynamicFunctionHandler(resolve_runtime_model)
         for index, zone_id in enumerate(self.zones):
             self.mesh.register(self.cloud.deploy(
-                self.account, zone_id, "dynamic", self.memory_mb,
-                arch=self.arch, handler=handler))
+                self.account, zone_id, "dynamic", MEMORY_MB,
+                handler=handler))
             self._sampling_endpoints[zone_id] = (
                 self.mesh.deploy_sampling_endpoints(
                     self.account, zone_id, count=sampling_count,
@@ -142,11 +132,9 @@ class SkyController(object):
     # -- routing --------------------------------------------------------------------
     def router_for(self, workload):
         return SmartRouter(self.cloud, self.mesh, self.store, self.policy,
-                           workload, self.zones, memory_mb=self.memory_mb,
-                           arch=self.arch, client=self.client,
-                           passive=self.passive, telemetry=self.telemetry,
-                           obs=self.obs, health=self.health,
-                           resilience=self.resilience)
+                           workload, self.zones, memory_mb=MEMORY_MB,
+                           passive=True, telemetry=self.telemetry,
+                           obs=self.obs, health=self.health)
 
     def submit(self, workload, payload=None):
         """Route one request of ``workload``; refreshes stale profiles
@@ -155,7 +143,7 @@ class SkyController(object):
         self.refresh_due_zones()
         router = self.router_for(workload)
         if self.health is not None:
-            return router.route_resilient(self.resilience)
+            return router.route_resilient()
         return router.route()
 
     def submit_burst(self, workload, n_requests):
@@ -164,18 +152,16 @@ class SkyController(object):
         self.refresh_due_zones()
         router = self.router_for(workload)
         decision = router.decide()
-        deployment = self.mesh.endpoint(decision.zone_id, self.memory_mb,
-                                        self.arch)
+        deployment = self.mesh.endpoint(decision.zone_id, MEMORY_MB)
         burst = self.runner.run_batched_burst(
             deployment, workload, n_requests,
             retry_policy=decision.retry_policy,
             policy_name=self.policy.name)
-        if self.passive:
-            for cpu_key, count in burst.cpu_counts.items():
-                for _ in range(min(count, 50)):  # cap the bookkeeping
-                    self.store.record_observation(
-                        decision.zone_id, cpu_key,
-                        timestamp=self.cloud.clock.now)
+        for cpu_key, count in burst.cpu_counts.items():
+            for _ in range(min(count, 50)):  # cap the bookkeeping
+                self.store.record_observation(
+                    decision.zone_id, cpu_key,
+                    timestamp=self.cloud.clock.now)
         return burst
 
     def __repr__(self):

@@ -16,6 +16,10 @@ an objective.  ``CarbonAwarePolicy`` is the prior-work special case
 from repro.common.errors import CharacterizationError, ConfigurationError
 from repro.core.policies import RoutingDecision, RoutingPolicy
 
+#: The round-trip time that normalizes the latency term to ~1, on the
+#: scale of the other two terms.
+REFERENCE_RTT_S = 0.15
+
 
 class MultiObjectivePolicy(RoutingPolicy):
     """Route to the zone minimizing a weighted cost/carbon/latency score."""
@@ -23,8 +27,7 @@ class MultiObjectivePolicy(RoutingPolicy):
     name = "multi_objective"
 
     def __init__(self, cloud, carbon_model, cost_weight=1.0,
-                 carbon_weight=0.0, latency_weight=0.0, max_rtt=None,
-                 reference_rtt=0.15):
+                 carbon_weight=0.0, latency_weight=0.0, max_rtt=None):
         if min(cost_weight, carbon_weight, latency_weight) < 0:
             raise ConfigurationError("weights must be non-negative")
         if cost_weight + carbon_weight + latency_weight == 0:
@@ -35,7 +38,6 @@ class MultiObjectivePolicy(RoutingPolicy):
         self.carbon_weight = float(carbon_weight)
         self.latency_weight = float(latency_weight)
         self.max_rtt = max_rtt
-        self.reference_rtt = float(reference_rtt)
 
     def _score(self, view, zone_id):
         region = self.cloud.region_of_zone(zone_id)
@@ -52,7 +54,7 @@ class MultiObjectivePolicy(RoutingPolicy):
                 raise ConfigurationError(
                     "latency weighting needs a client location")
             rtt = self.cloud.network.round_trip(view.client, region.geo)
-            score += self.latency_weight * rtt / self.reference_rtt
+            score += self.latency_weight * rtt / REFERENCE_RTT_S
         return score
 
     def _admissible(self, view, zone_id):

@@ -13,10 +13,9 @@ from repro.common.errors import CharacterizationError, ConfigurationError
 class ZoneRanker(object):
     """Ranks candidate zones by expected workload runtime."""
 
-    def __init__(self, store, cloud=None, network=None):
+    def __init__(self, store, cloud=None):
         self.store = store
         self.cloud = cloud
-        self.network = network or (cloud.network if cloud else None)
 
     # -- scoring -------------------------------------------------------------
     def expected_factor(self, zone_id, factors, now=None):
@@ -65,7 +64,7 @@ class ZoneRanker(object):
         return mean_allowed + overhead_s / base_seconds
 
     def expected_cost(self, zone_id, factors, base_seconds, memory_mb,
-                      arch="x86_64", now=None):
+                      now=None):
         """Expected billed dollars per invocation in ``zone_id``.
 
         Unlike :meth:`expected_factor`, this folds in the zone provider's
@@ -78,20 +77,17 @@ class ZoneRanker(object):
         factor = self.expected_factor(zone_id, factors, now=now)
         provider = self.cloud.region_of_zone(zone_id).provider
         bill = provider.billing.bill(memory_mb, base_seconds * factor,
-                                     arch=arch, requests=1)
+                                     requests=1)
         return float(bill.total)
 
     def rank_by_cost(self, zone_ids, factors, base_seconds, memory_mb,
-                     arch="x86_64", client=None, max_rtt=None, now=None):
+                     now=None):
         """Zones sorted by ascending expected dollars per invocation."""
         scored = []
         for zone_id in zone_ids:
-            if client is not None and max_rtt is not None:
-                if self._rtt(zone_id, client) > max_rtt:
-                    continue
             try:
                 cost = self.expected_cost(zone_id, factors, base_seconds,
-                                          memory_mb, arch=arch, now=now)
+                                          memory_mb, now=now)
             except CharacterizationError:
                 continue
             scored.append((cost, zone_id))
@@ -118,18 +114,16 @@ class ZoneRanker(object):
         scored.sort()
         return [zone_id for _, zone_id in scored]
 
-    def best_zone(self, zone_ids, factors, client=None, max_rtt=None,
-                  now=None):
-        ranked = self.rank(zone_ids, factors, client=client,
-                           max_rtt=max_rtt, now=now)
+    def best_zone(self, zone_ids, factors, now=None):
+        ranked = self.rank(zone_ids, factors, now=now)
         if not ranked:
             raise CharacterizationError(
                 "no routable zone among {}".format(list(zone_ids)))
         return ranked[0]
 
     def _rtt(self, zone_id, client):
-        if self.cloud is None or self.network is None:
+        if self.cloud is None:
             raise ConfigurationError(
-                "latency-bounded ranking needs a cloud and network model")
+                "latency-bounded ranking needs a cloud")
         region = self.cloud.region_of_zone(zone_id)
-        return self.network.round_trip(client, region.geo)
+        return self.cloud.network.round_trip(client, region.geo)

@@ -97,13 +97,9 @@ class RegionalPolicy(RoutingPolicy):
 
     name = "regional"
 
-    def __init__(self, max_rtt=None):
-        self.max_rtt = max_rtt
-
     def decide(self, view):
-        zone_id = view.ranker.best_zone(
-            view.candidate_zones, view.factors, client=view.client,
-            max_rtt=self.max_rtt, now=view.now)
+        zone_id = view.ranker.best_zone(view.candidate_zones, view.factors,
+                                        now=view.now)
         return RoutingDecision(zone_id)
 
 
@@ -118,16 +114,13 @@ class CheapestCostPolicy(RoutingPolicy):
 
     name = "cheapest_cost"
 
-    def __init__(self, memory_mb=2048, arch="x86_64", max_rtt=None):
+    def __init__(self, memory_mb=2048):
         self.memory_mb = memory_mb
-        self.arch = arch
-        self.max_rtt = max_rtt
 
     def decide(self, view):
         ranked = view.ranker.rank_by_cost(
             view.candidate_zones, view.factors, view.base_seconds,
-            self.memory_mb, arch=self.arch, client=view.client,
-            max_rtt=self.max_rtt, now=view.now)
+            self.memory_mb, now=view.now)
         if not ranked:
             raise ConfigurationError(
                 "no routable zone for the cheapest-cost policy")
@@ -183,12 +176,8 @@ class HybridPolicy(RetryRoutingPolicy):
     inside it.
     """
 
-    def __init__(self, variant="retry_slow", n_slowest=2, max_retries=None,
-                 hold_seconds=None, max_rtt=None):
-        super(HybridPolicy, self).__init__(
-            zone_id=None, variant=variant, n_slowest=n_slowest,
-            max_retries=max_retries, hold_seconds=hold_seconds)
-        self.max_rtt = max_rtt
+    def __init__(self, variant="retry_slow"):
+        super(HybridPolicy, self).__init__(zone_id=None, variant=variant)
 
     @property
     def name(self):
@@ -198,10 +187,6 @@ class HybridPolicy(RetryRoutingPolicy):
         best_zone, best_score, best_retry = None, None, None
         for zone_id in view.candidate_zones:
             if zone_id not in view.characterizations:
-                continue
-            if (self.max_rtt is not None and view.client is not None
-                    and view.ranker._rtt(zone_id, view.client)
-                    > self.max_rtt):
                 continue
             # Retries are only worth their holds where the zone's mix
             # rewards filtering — evaluate each zone both with and without

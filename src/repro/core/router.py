@@ -24,6 +24,10 @@ from repro.core.resilience import (
 )
 from repro.core.retry import RetryEngine, RetriedInvocation
 
+#: The mesh rung routers, controllers and studies use unless told
+#: otherwise: x86 at 2 GB, the setting EX-1 found cost-optimal.
+MEMORY_MB = 2048
+
 
 class RoutedRequest(object):
     """Uniform view over direct and retried invocations."""
@@ -75,9 +79,9 @@ class SmartRouter(object):
     """Routes one workload's requests according to a policy."""
 
     def __init__(self, cloud, mesh, store, policy, workload,
-                 candidate_zones, memory_mb=2048, arch="x86_64",
-                 function_name="dynamic", client=None, passive=False,
-                 telemetry=None, obs=None, health=None, resilience=None):
+                 candidate_zones, memory_mb=MEMORY_MB, client=None,
+                 passive=False, telemetry=None, obs=None, health=None,
+                 resilience=None):
         self.cloud = cloud
         self.mesh = mesh
         self.store = store
@@ -87,8 +91,6 @@ class SmartRouter(object):
         if not self.candidate_zones:
             raise ConfigurationError("router needs candidate zones")
         self.memory_mb = memory_mb
-        self.arch = arch
-        self.function_name = function_name
         self.client = client
         self.passive = passive
         self.telemetry = telemetry
@@ -132,8 +134,7 @@ class SmartRouter(object):
         return self.policy.decide(self.current_view(now=now))
 
     def _deployment_for(self, zone_id):
-        return self.mesh.endpoint(zone_id, self.memory_mb, self.arch,
-                                  self.function_name)
+        return self.mesh.endpoint(zone_id, self.memory_mb)
 
     # -- execution -------------------------------------------------------------------
     def route(self, decision=None):

@@ -19,7 +19,14 @@ from repro.core.retry import RetryPolicy
 from repro.dynfunc.handler import CPU_CHECK_SECONDS
 
 
-def default_slo_s(workload, multiplier=3.0, floor_s=0.25):
+#: Lower bound of :func:`default_slo_s`.
+SLO_FLOOR_S = 0.25
+
+#: Client round trip the forecasts charge per attempt.
+RTT_S = 0.02
+
+
+def default_slo_s(workload, multiplier=3.0):
     """A serving-plane default latency SLO for ``workload``.
 
     A request is "within SLO" when it finishes inside a small multiple of
@@ -30,7 +37,7 @@ def default_slo_s(workload, multiplier=3.0, floor_s=0.25):
     if multiplier <= 0:
         raise ConfigurationError("multiplier must be positive")
     return max(float(multiplier) * float(workload.base_seconds),
-               float(floor_s))
+               SLO_FLOOR_S)
 
 
 class StrategyForecast(object):
@@ -60,10 +67,9 @@ class StrategyForecast(object):
 class SLOSelector(object):
     """Pick the cheapest strategy whose predicted p95 fits the SLO."""
 
-    def __init__(self, cloud, store, rtt_s=0.02):
+    def __init__(self, cloud, store):
         self.cloud = cloud
         self.store = store
-        self.rtt_s = float(rtt_s)
 
     # -- forecasting -----------------------------------------------------------
     def forecast(self, workload, zone_id, retry_policy=None, name=None,
@@ -102,7 +108,7 @@ class SLOSelector(object):
                          * gb_seconds(memory_mb, billed_s)
                          + provider.billing.per_request
                          * (1 + expected_retries))
-        mean_latency = (runtime + (1 + expected_retries) * self.rtt_s
+        mean_latency = (runtime + (1 + expected_retries) * RTT_S
                         + retry_overhead_s)
 
         # p95: runtime spread over the allowed CPUs plus the retry-count
@@ -118,7 +124,7 @@ class SLOSelector(object):
                 else 0.0,
                 retry_policy.max_retries)
         latency_p95 = (runtime_p95
-                       + (1 + retries_p95) * self.rtt_s
+                       + (1 + retries_p95) * RTT_S
                        + retries_p95 * (CPU_CHECK_SECONDS + hold_s))
 
         return StrategyForecast(

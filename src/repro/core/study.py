@@ -17,7 +17,7 @@ each strategy versus the fixed-zone baseline, plus the sampling spend
 from repro.common.errors import ConfigurationError
 from repro.common.units import HOURS, MINUTES, Money
 from repro.core.metrics import summarize_savings
-from repro.core.router import SmartRouter
+from repro.core.router import MEMORY_MB, SmartRouter
 from repro.core.runner import WorkloadRunner
 from repro.sampling.campaign import SamplingCampaign
 
@@ -61,9 +61,7 @@ class RoutingStudy(object):
 
     def __init__(self, cloud, mesh, store, workload, candidate_zones,
                  sampling_endpoints, days=14, cadence_hours=22.0,
-                 burst_size=1000, polls_per_day=6, poll_requests=1000,
-                 memory_mb=2048, arch="x86_64", function_name="dynamic",
-                 client=None):
+                 burst_size=1000, polls_per_day=6, poll_requests=1000):
         """``sampling_endpoints`` maps zone_id -> list of sampling
         deployments (each zone needs at least ``polls_per_day``)."""
         if days < 1:
@@ -83,16 +81,11 @@ class RoutingStudy(object):
         self.burst_size = int(burst_size)
         self.polls_per_day = int(polls_per_day)
         self.poll_requests = int(poll_requests)
-        self.memory_mb = memory_mb
-        self.arch = arch
-        self.function_name = function_name
-        self.client = client
         self._runner = WorkloadRunner(cloud)
 
     @classmethod
     def from_names(cls, cloud, workload_name, candidate_zones,
-                   sampling_count=10, account_id="study", memory_mb=2048,
-                   **kwargs):
+                   sampling_count=10, **kwargs):
         """Build a study from primitive names on a fresh ``cloud``.
 
         Creates the account, the per-zone sampling endpoint sets, and the
@@ -111,19 +104,19 @@ class RoutingStudy(object):
         if not candidate_zones:
             raise ConfigurationError("study needs candidate zones")
         provider = cloud.region_of_zone(candidate_zones[0]).provider.name
-        account = cloud.create_account(account_id, provider)
+        account = cloud.create_account("study", provider)
         mesh = SkyMesh(cloud)
         endpoints = {}
         for zone_id in candidate_zones:
             endpoints[zone_id] = mesh.deploy_sampling_endpoints(
                 account, zone_id, count=sampling_count)
             mesh.register(cloud.deploy(
-                account, zone_id, "dynamic", memory_mb,
+                account, zone_id, "dynamic", MEMORY_MB,
                 handler=UniversalDynamicFunctionHandler(
                     resolve_runtime_model)))
         return cls(cloud, mesh, CharacterizationStore(),
                    workload_by_name(workload_name), candidate_zones,
-                   endpoints, memory_mb=memory_mb, **kwargs)
+                   endpoints, **kwargs)
 
     def _refresh_characterizations(self, result):
         for zone_id in self.candidate_zones:
@@ -142,8 +135,7 @@ class RoutingStudy(object):
     def _make_router(self, policy):
         return SmartRouter(
             self.cloud, self.mesh, self.store, policy, self.workload,
-            self.candidate_zones, memory_mb=self.memory_mb, arch=self.arch,
-            function_name=self.function_name, client=self.client)
+            self.candidate_zones, memory_mb=MEMORY_MB)
 
     def run(self, policies):
         """Execute the study; ``policies`` is a list of RoutingPolicy.
@@ -161,9 +153,8 @@ class RoutingStudy(object):
             for policy in policies:
                 router = self._make_router(policy)
                 decision = router.decide()
-                deployment = self.mesh.endpoint(
-                    decision.zone_id, self.memory_mb, self.arch,
-                    self.function_name)
+                deployment = self.mesh.endpoint(decision.zone_id,
+                                                MEMORY_MB)
                 burst = self._runner.run_batched_burst(
                     deployment, self.workload, self.burst_size,
                     retry_policy=decision.retry_policy,

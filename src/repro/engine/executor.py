@@ -219,6 +219,13 @@ class SweepEngine(object):
                              "{!r}".format(chunk_size))
         self.chunk_size = int(chunk_size) if chunk_size else None
         self.obs = obs
+        if start_method is not None:
+            import multiprocessing
+            available = multiprocessing.get_all_start_methods()
+            if start_method not in available:
+                raise ConfigurationError(
+                    "unknown start_method {!r}; pick one of {}".format(
+                        start_method, available))
         self.start_method = start_method
         if backend not in BACKENDS:
             raise ConfigurationError(

@@ -754,8 +754,8 @@ class SweepWorker(object):
                 return
 
 
-def spawn_local_workers(address, count, python=None, extra_args=(),
-                        log_dir=None, token=None):
+def spawn_local_workers(address, count, extra_args=(), log_dir=None,
+                        token=None):
     """Launch ``count`` loopback ``sweep-worker`` subprocesses.
 
     Returns the ``subprocess.Popen`` handles; callers own their
@@ -776,7 +776,7 @@ def spawn_local_workers(address, count, python=None, extra_args=(),
     env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
     if token is not None:
         env[TOKEN_ENV] = token
-    command = [python or sys.executable, "-m", "repro", "sweep-worker",
+    command = [sys.executable, "-m", "repro", "sweep-worker",
                "--connect", "{}:{}".format(host, port)]
     command.extend(extra_args)
     if log_dir is not None:

@@ -45,14 +45,11 @@ class SweepTask(object):
         return "{}({})".format(type(self).__name__, self.cell_id())
 
 
-def _deploy_sampling_endpoints(cloud, account, zone_id, count,
-                               memory_base_mb=None):
+def _deploy_sampling_endpoints(cloud, account, zone_id, count):
     """The CLI's endpoint recipe, shared by every sampling-style task."""
     from repro.skymesh import SkyMesh
     region = cloud.region_of_zone(zone_id)
-    if memory_base_mb is None:
-        memory_base_mb = min(2048,
-                             region.provider.memory_options_mb[-1] - count)
+    memory_base_mb = min(2048, region.provider.memory_options_mb[-1] - count)
     mesh = SkyMesh(cloud)
     return mesh.deploy_sampling_endpoints(account, zone_id, count=count,
                                           memory_base_mb=memory_base_mb)
@@ -125,7 +122,7 @@ class CampaignTask(SweepTask):
 
     def __init__(self, spec, zone_id, endpoints=10, n_requests=None,
                  max_polls=None, failure_threshold=0.5, inter_poll_gap=2.5,
-                 memory_base_mb=None, summary=False):
+                 summary=False):
         super().__init__(spec)
         self.zone_id = zone_id
         self.endpoints = int(endpoints)
@@ -133,7 +130,6 @@ class CampaignTask(SweepTask):
         self.max_polls = max_polls
         self.failure_threshold = float(failure_threshold)
         self.inter_poll_gap = float(inter_poll_gap)
-        self.memory_base_mb = memory_base_mb
         self.summary = bool(summary)
 
     def cell_id(self):
@@ -143,8 +139,7 @@ class CampaignTask(SweepTask):
         from repro.sampling.campaign import SamplingCampaign
         cloud, account = self.spec.build_with_account(self.zone_id)
         endpoints = _deploy_sampling_endpoints(
-            cloud, account, self.zone_id, self.endpoints,
-            memory_base_mb=self.memory_base_mb)
+            cloud, account, self.zone_id, self.endpoints)
         return SamplingCampaign(
             cloud, endpoints,
             n_requests=_auto_requests(cloud, self.zone_id, self.n_requests),
@@ -178,8 +173,7 @@ class TemporalTask(SweepTask):
     MODES = ("daily", "hourly")
 
     def __init__(self, spec, zone_id, mode="daily", periods=7,
-                 polls_per_period=6, endpoints=10, n_requests=None,
-                 cadence_hours=22.0, memory_base_mb=None):
+                 polls_per_period=6, endpoints=10, n_requests=None):
         super().__init__(spec)
         if mode not in self.MODES:
             raise ConfigurationError(
@@ -191,8 +185,6 @@ class TemporalTask(SweepTask):
         self.polls_per_period = int(polls_per_period)
         self.endpoints = int(endpoints)
         self.n_requests = n_requests
-        self.cadence_hours = float(cadence_hours)
-        self.memory_base_mb = memory_base_mb
 
     def cell_id(self):
         return "{}:{}:{}:{}".format(self.kind, self.mode, self.zone_id,
@@ -204,13 +196,11 @@ class TemporalTask(SweepTask):
         from repro.sampling.temporal import DailyCampaignSeries, HourlySeries
         cloud, account = self.spec.build_with_account(self.zone_id)
         endpoints = _deploy_sampling_endpoints(
-            cloud, account, self.zone_id, self.endpoints,
-            memory_base_mb=self.memory_base_mb)
+            cloud, account, self.zone_id, self.endpoints)
         n_requests = _auto_requests(cloud, self.zone_id, self.n_requests)
         if self.mode == "daily":
             series = DailyCampaignSeries(
-                cloud, endpoints, days=self.periods,
-                cadence_hours=self.cadence_hours, n_requests=n_requests,
+                cloud, endpoints, days=self.periods, n_requests=n_requests,
                 max_polls=self.polls_per_period)
         else:
             series = HourlySeries(

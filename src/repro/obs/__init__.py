@@ -47,17 +47,16 @@ class Observability(object):
     manual subscription.
     """
 
-    def __init__(self, event_capacity=20000, max_traces=256, bridge=True):
+    def __init__(self):
         self.bus = EventBus()
         self.registry = MetricsRegistry()
-        self.tracer = Tracer(max_traces=max_traces)
-        self.recorder = EventRecorder(self.bus, capacity=event_capacity)
+        self.tracer = Tracer()
+        self.recorder = EventRecorder(self.bus)
         # Bound update methods per (event, label values), one slot per
         # catalog row; dropped when the registry is cleared.
         self._ops = {}
         self._generation = self.registry.generation
-        if bridge:
-            self.bus.subscribe(self._bridge)
+        self.bus.subscribe(self._bridge)
 
     @property
     def enabled(self):

@@ -73,8 +73,8 @@ class EventBus(object):
     (the overhead benchmark measures exactly this configuration).
     """
 
-    def __init__(self, enabled=True):
-        self.enabled = bool(enabled)
+    def __init__(self):
+        self.enabled = True
         self._all = []
         self._named = {}
         self._emitted = 0

@@ -118,7 +118,7 @@ class SamplingCampaign(object):
 
     def __init__(self, cloud, endpoints, n_requests=1000,
                  failure_threshold=0.5, max_polls=None,
-                 inter_poll_gap=2.5, fanout=None):
+                 inter_poll_gap=2.5):
         if not 0 < failure_threshold <= 1:
             raise ConfigurationError("failure_threshold must be in (0, 1]")
         if max_polls is not None and max_polls < 1:
@@ -129,8 +129,7 @@ class SamplingCampaign(object):
                 "inter_poll_gap must be >= 0, got {!r}".format(
                     inter_poll_gap))
         self.cloud = cloud
-        self.poller = Poller(cloud, endpoints, n_requests=n_requests,
-                             fanout=fanout)
+        self.poller = Poller(cloud, endpoints, n_requests=n_requests)
         self.failure_threshold = float(failure_threshold)
         self.max_polls = max_polls if max_polls is not None else len(
             endpoints)

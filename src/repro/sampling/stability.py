@@ -14,6 +14,11 @@ STABLE = "stable"
 VOLATILE = "volatile"
 UNKNOWN = "unknown"
 
+#: How long a zone's current profile can be trusted, by stability label:
+#: stable zones are re-sampled weekly, the rest on EX-4's daily cadence.
+REFRESH_INTERVAL_S = {STABLE: 7 * DAYS, VOLATILE: 22 * HOURS,
+                      UNKNOWN: 22 * HOURS}
+
 
 class StabilityClassifier(object):
     """Classifies zones from consecutive-characterization drift.
@@ -57,17 +62,9 @@ class StabilityClassifier(object):
             return UNKNOWN
         return VOLATILE if rate > self.volatile_threshold else STABLE
 
-    def recommended_interval(self, history,
-                             stable_interval=7 * DAYS,
-                             volatile_interval=22 * HOURS,
-                             unknown_interval=22 * HOURS):
+    def recommended_interval(self, history):
         """How long the zone's current profile can be trusted."""
-        label = self.classify(history)
-        if label == STABLE:
-            return stable_interval
-        if label == VOLATILE:
-            return volatile_interval
-        return unknown_interval
+        return REFRESH_INTERVAL_S[self.classify(history)]
 
 
 class ZoneStabilityTracker(object):

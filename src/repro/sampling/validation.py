@@ -16,19 +16,23 @@ from repro.common.errors import ConfigurationError
 from repro.sampling.campaign import SamplingCampaign
 from repro.sampling.poller import Poller
 
+#: Polls the independent second account makes after the first saturates.
+SECONDARY_POLLS = 3
+
+#: Failure fraction at which the second account's first poll counts as
+#: blocked by the shared pool.
+BLOCKED_THRESHOLD = 0.9
+
 
 class SaturationValidation(object):
     """Outcome of the two-account validation protocol."""
 
-    __slots__ = ("zone_id", "primary_campaign", "secondary_failure_rates",
-                 "threshold")
+    __slots__ = ("zone_id", "primary_campaign", "secondary_failure_rates")
 
-    def __init__(self, zone_id, primary_campaign, secondary_failure_rates,
-                 threshold):
+    def __init__(self, zone_id, primary_campaign, secondary_failure_rates):
         self.zone_id = zone_id
         self.primary_campaign = primary_campaign
         self.secondary_failure_rates = list(secondary_failure_rates)
-        self.threshold = threshold
 
     @property
     def primary_saturated(self):
@@ -39,7 +43,7 @@ class SaturationValidation(object):
         """True when the independent account failed immediately."""
         if not self.secondary_failure_rates:
             return False
-        return self.secondary_failure_rates[0] >= self.threshold
+        return self.secondary_failure_rates[0] >= BLOCKED_THRESHOLD
 
     @property
     def pool_is_shared(self):
@@ -64,8 +68,7 @@ class SaturationValidation(object):
 
 
 def validate_saturation(cloud, primary_endpoints, secondary_endpoints,
-                        n_requests=1000, secondary_polls=3,
-                        threshold=0.9):
+                        n_requests=1000):
     """Run the EX-1 protocol; returns a :class:`SaturationValidation`.
 
     ``primary_endpoints`` and ``secondary_endpoints`` must target the same
@@ -90,7 +93,7 @@ def validate_saturation(cloud, primary_endpoints, secondary_endpoints,
 
     poller = Poller(cloud, secondary_endpoints, n_requests=n_requests)
     failure_rates = []
-    for _ in range(secondary_polls):
+    for _ in range(SECONDARY_POLLS):
         observation = poller.poll()
         failure_rates.append(observation.failure_rate)
         cloud.clock.advance(2.5)
@@ -99,5 +102,4 @@ def validate_saturation(cloud, primary_endpoints, secondary_endpoints,
         zone_id=primary_endpoints[0].zone_id,
         primary_campaign=primary_result,
         secondary_failure_rates=failure_rates,
-        threshold=threshold,
     )

@@ -33,9 +33,16 @@ from repro.serve.arrivals import ArrivalProcess
 from repro.serve.admission import AdmissionController
 
 #: Served latencies the gateway buffers before folding them into its
-#: latency histograms in one ``observe_many``; it also folds at every
+#: latency histogram in one ``observe_many``; it also folds at every
 #: report and when a run ends.
 FOLD_VALUES = 16384
+
+#: Sim seconds a cached routing decision serves before the router is asked
+#: again; an idle unpaced loop also yields to the event loop this often.
+DECIDE_EVERY_S = 0.010
+
+#: Sim seconds between checks for zones whose profile has gone stale.
+STALENESS_CHECK_EVERY_S = 60.0
 
 
 class GatewayConfig(object):
@@ -44,18 +51,15 @@ class GatewayConfig(object):
     __slots__ = (
         "batch_size", "flush_deadline_s", "batch_floor", "tick_s",
         "rate_limit_rps", "burst", "max_queue_depth", "slo_s",
-        "report_every_s", "decide_every_s", "recharacterize_failure_rate",
-        "recharacterize_cooldown_s", "staleness_check_every_s",
-        "wall_pace",
+        "report_every_s", "recharacterize_failure_rate",
+        "recharacterize_cooldown_s", "wall_pace",
     )
 
     def __init__(self, batch_size=256, flush_deadline_s=0.002,
                  batch_floor=16, tick_s=0.001, rate_limit_rps=None,
                  burst=None, max_queue_depth=100000, slo_s=None,
-                 report_every_s=1.0, decide_every_s=0.010,
-                 recharacterize_failure_rate=0.5,
-                 recharacterize_cooldown_s=30.0,
-                 staleness_check_every_s=60.0, wall_pace=0.0):
+                 report_every_s=1.0, recharacterize_failure_rate=0.5,
+                 recharacterize_cooldown_s=30.0, wall_pace=0.0):
         if batch_size < 1 or batch_floor < 1:
             raise ConfigurationError(
                 "batch_size and batch_floor must be >= 1")
@@ -71,10 +75,8 @@ class GatewayConfig(object):
         self.max_queue_depth = int(max_queue_depth)
         self.slo_s = slo_s
         self.report_every_s = float(report_every_s)
-        self.decide_every_s = float(decide_every_s)
         self.recharacterize_failure_rate = float(recharacterize_failure_rate)
         self.recharacterize_cooldown_s = float(recharacterize_cooldown_s)
-        self.staleness_check_every_s = float(staleness_check_every_s)
         #: Wall seconds to spend per sim second (0 = run flat out).
         #: ``wall_pace=1.0`` approximates real time — what an actually
         #: always-on deployment (and the CI mid-run scrape) wants.
@@ -87,8 +89,10 @@ class GatewayReport(object):
     """Outcome aggregates for one gateway run.
 
     Counts are exact; latency quantiles come from a seeded reservoir
-    histogram, so two runs with the same arrivals and seed produce the
-    same :meth:`aggregate_key` byte for byte.
+    ``histogram``, so two runs with the same arrivals and seed produce the
+    same :meth:`aggregate_key` byte for byte.  With observability attached
+    that histogram is the registry's ``serve_latency_s`` series, so each
+    served latency is folded once.
     """
 
     __slots__ = ("offered", "admitted", "shed_tokens", "shed_queue",
@@ -97,7 +101,7 @@ class GatewayReport(object):
                  "latency_sum_s", "slo_hits", "slo_s", "sim_seconds",
                  "histogram")
 
-    def __init__(self, slo_s):
+    def __init__(self, slo_s, histogram):
         self.offered = 0
         self.admitted = 0
         self.shed_tokens = 0
@@ -113,7 +117,7 @@ class GatewayReport(object):
         self.slo_hits = 0
         self.slo_s = float(slo_s)
         self.sim_seconds = 0.0
-        self.histogram = Histogram()
+        self.histogram = histogram
 
     # -- derived -------------------------------------------------------------
     @property
@@ -216,7 +220,16 @@ class ServeGateway(object):
         slo_s = self.config.slo_s
         if slo_s is None:
             slo_s = default_slo_s(workload)
-        self.report = GatewayReport(slo_s)
+        if self.obs is None:
+            histogram = Histogram()
+        else:
+            histogram = self.obs.registry.histogram("serve_latency_s")
+            if histogram.count:
+                raise ConfigurationError(
+                    "serve_latency_s already holds {} observations; give "
+                    "each gateway its own Observability".format(
+                        histogram.count))
+        self.report = GatewayReport(slo_s, histogram)
         self.admission = AdmissionController(
             self.config.rate_limit_rps, self.config.burst,
             self.config.max_queue_depth)
@@ -229,13 +242,9 @@ class ServeGateway(object):
         self._last_recharacterized = {}
         self._last_staleness_check = None
         self._zone_window = {}  # zone -> [served, failed] since last check
-        self._latency_hist = None
-        # Served-latency arrays not yet folded into the histograms.
+        # Served-latency arrays not yet folded into the histogram.
         self._pending = []
         self._pending_values = 0
-        if self.obs is not None:
-            self._latency_hist = self.obs.registry.histogram(
-                "serve_latency_s")
         # Window counters for serve.report deltas.
         self._win = {"offered": 0, "admitted": 0, "served": 0}
 
@@ -256,8 +265,8 @@ class ServeGateway(object):
         periodic report/staleness checks, then advance the sim clock.
         The re-characterization worker runs between ticks: an unpaced
         loop yields to the event loop after any tick that queued work
-        for it, and otherwise once per ``decide_every_s`` of sim time so
-        co-hosted coroutines still get scheduled points; a paced loop
+        for it, and otherwise once per :data:`DECIDE_EVERY_S` of sim time
+        so co-hosted coroutines still get scheduled points; a paced loop
         (``wall_pace > 0``) sleeps every tick.
         """
         if duration_s <= 0:
@@ -276,7 +285,6 @@ class ServeGateway(object):
         queue = self._recharacterize_queue
         paced = config.wall_pace > 0.0
         pace_s = config.tick_s * config.wall_pace
-        yield_every_s = config.decide_every_s
         next_yield = start
         try:
             while not self._drain_requested and clock.now < deadline:
@@ -286,7 +294,7 @@ class ServeGateway(object):
                     self._emit_report(now, now - last_report)
                     last_report = now
                 if (now - self._last_staleness_check
-                        >= config.staleness_check_every_s):
+                        >= STALENESS_CHECK_EVERY_S):
                     self._check_staleness(now)
                     self._last_staleness_check = now
                 # The re-characterization worker only runs when the loop
@@ -301,7 +309,7 @@ class ServeGateway(object):
                     await asyncio.sleep(pace_s)
                 elif queue.qsize() or now >= next_yield:
                     await asyncio.sleep(0)
-                    next_yield = now + yield_every_s
+                    next_yield = now + DECIDE_EVERY_S
                 clock.advance(config.tick_s)
             drained = self._drain(clock.now)
             self._emit_report(clock.now, max(clock.now - last_report,
@@ -355,7 +363,7 @@ class ServeGateway(object):
             if granted:
                 decision = self._decision
                 if (decision is None or self._decision_at is None
-                        or now - self._decision_at >= config.decide_every_s):
+                        or now - self._decision_at >= DECIDE_EVERY_S):
                     decision = self._decision = self.router.decide(now=now)
                     self._decision_at = now
                 buffer = self._buffers.get(decision.zone_id)
@@ -474,7 +482,7 @@ class ServeGateway(object):
         """Observe every buffered flush's latencies, in flush order.
 
         ``observe_many(*arrays)`` equals one call per array, so the
-        histograms end bit-identical to observing each flush as it
+        histogram ends bit-identical to observing each flush as it
         happened; folding a report window at once is what lets the
         reservoir replay run columnar.
         """
@@ -484,8 +492,6 @@ class ServeGateway(object):
         self._pending = []
         self._pending_values = 0
         self.report.histogram.observe_many(*pending)
-        if self._latency_hist is not None:
-            self._latency_hist.observe_many(*pending)
 
     def _emit_batch(self, zone_id, mode, size, result=None, served=0,
                     failed=0, cold=0, cost=0.0, now=0.0):

@@ -10,7 +10,7 @@ model is what makes choosing a rung a real decision (see
 lineage the paper cites).
 
 The Figure-9 runtime calibrations are taken at the 2 GB setting, so
-factors here are normalized to ``reference_memory_mb=2048``.
+factors here are normalized to ``REFERENCE_MEMORY_MB``.
 """
 
 from repro.common.errors import ConfigurationError
@@ -24,8 +24,14 @@ DEFAULT_PARALLEL_FRACTION = 0.85
 # Exponent of the slowdown once memory drops below the working set.
 PRESSURE_EXPONENT = 1.5
 
+# Working set below which memory pressure slows a workload further.
+MIN_MEMORY_MB = 256
 
-def _raw_factor(memory_mb, vcpus, parallel_fraction, min_memory_mb):
+# The rung the Figure-9 factors were calibrated at.
+REFERENCE_MEMORY_MB = 2048
+
+
+def _raw_factor(memory_mb, vcpus, parallel_fraction):
     """Runtime multiplier at ``memory_mb`` vs. full CPU allocation."""
     if memory_mb <= 0:
         raise ConfigurationError("memory must be positive")
@@ -35,15 +41,13 @@ def _raw_factor(memory_mb, vcpus, parallel_fraction, min_memory_mb):
     factor = (1.0 - parallel_fraction) + parallel_fraction * (
         vcpus / usable)
     factor = max(factor, 1.0)
-    if memory_mb < min_memory_mb:
-        factor *= (min_memory_mb / memory_mb) ** PRESSURE_EXPONENT
+    if memory_mb < MIN_MEMORY_MB:
+        factor *= (MIN_MEMORY_MB / memory_mb) ** PRESSURE_EXPONENT
     return factor
 
 
 def memory_speed_factor(memory_mb, vcpus=1.0,
-                        parallel_fraction=DEFAULT_PARALLEL_FRACTION,
-                        min_memory_mb=256,
-                        reference_memory_mb=2048):
+                        parallel_fraction=DEFAULT_PARALLEL_FRACTION):
     """Runtime multiplier at ``memory_mb`` relative to the reference rung.
 
     1.0 at the reference (2 GB, where Figure 9 was calibrated); > 1 when
@@ -57,10 +61,8 @@ def memory_speed_factor(memory_mb, vcpus=1.0,
         raise ConfigurationError("vcpus must be positive")
     if not 0 <= parallel_fraction < 1:
         raise ConfigurationError("parallel_fraction must be in [0, 1)")
-    reference = _raw_factor(reference_memory_mb, vcpus,
-                            parallel_fraction, min_memory_mb)
-    return _raw_factor(memory_mb, vcpus, parallel_fraction,
-                       min_memory_mb) / reference
+    reference = _raw_factor(REFERENCE_MEMORY_MB, vcpus, parallel_fraction)
+    return _raw_factor(memory_mb, vcpus, parallel_fraction) / reference
 
 
 def saturation_memory_mb(vcpus):

@@ -274,8 +274,10 @@ class TestEngineMechanics(object):
         engine.run([_tiny_campaign_task(s) for s in (0, 1)])
         assert engine.last_mode == "pool"
 
-    def test_graceful_fallback_without_pool(self):
-        engine = SweepEngine(workers=2, start_method="no-such-method")
+    def test_graceful_fallback_without_pool(self, monkeypatch):
+        monkeypatch.setattr(SweepEngine, "_make_pool",
+                            lambda self, workers: None)
+        engine = SweepEngine(workers=2)
         results = engine.run([_tiny_campaign_task(s) for s in (0, 1)])
         assert engine.last_mode == "serial-fallback"
         assert _serialize(results) == _serialize(
@@ -354,17 +356,21 @@ class TestEngineMechanics(object):
 class TestChunkHook(object):
     """``chunk_hook`` fires once per accepted chunk on every local path."""
 
-    @pytest.mark.parametrize("workers, start_method, journaled, mode", [
-        (1, None, False, "serial"),
-        (1, None, True, "serial"),
-        (2, "no-such-method", False, "serial-fallback"),
-        (2, None, False, "pool"),
+    @pytest.mark.parametrize("workers, no_pool, journaled, mode", [
+        (1, False, False, "serial"),
+        (1, False, True, "serial"),
+        (2, True, False, "serial-fallback"),
+        (2, False, False, "pool"),
     ], ids=["serial", "serial-journal", "serial-fallback", "pool"])
-    def test_fires_once_per_accepted_chunk(self, tmp_path, workers,
-                                           start_method, journaled, mode):
+    def test_fires_once_per_accepted_chunk(self, tmp_path, monkeypatch,
+                                           workers, no_pool, journaled,
+                                           mode):
+        if no_pool:
+            monkeypatch.setattr(SweepEngine, "_make_pool",
+                                lambda self, workers: None)
         fired = []
         engine = SweepEngine(
-            workers=workers, start_method=start_method,
+            workers=workers,
             journal=str(tmp_path) if journaled else None,
             chunk_hook=lambda chunk_id, records: fired.append(
                 (chunk_id, [record[0] for record in records])))
@@ -388,6 +394,10 @@ class TestStartMethod(object):
     def test_explicit_start_method_wins(self):
         engine = SweepEngine(workers=2, start_method="spawn")
         assert engine._resolve_start_method() == "spawn"
+
+    def test_unknown_start_method_raises(self):
+        with pytest.raises(ConfigurationError, match="no-such-method"):
+            SweepEngine(workers=2, start_method="no-such-method")
 
     def test_start_method_surfaced_in_sweep_start_event(self):
         obs = Observability()
@@ -656,11 +666,12 @@ class TestEngineObservability(object):
         summary = progress.summary()
         assert summary["cells"] == 3 and summary["mode"] == "pool"
 
-    def test_fallback_event_recorded(self):
+    def test_fallback_event_recorded(self, monkeypatch):
+        monkeypatch.setattr(SweepEngine, "_make_pool",
+                            lambda self, workers: None)
         obs = Observability()
         progress = SweepProgress(obs.bus)
-        engine = SweepEngine(workers=2, obs=obs,
-                             start_method="no-such-method")
+        engine = SweepEngine(workers=2, obs=obs)
         engine.run([_tiny_campaign_task(s) for s in (0, 1)])
         assert progress.fallback_reason == "process pool unavailable"
         assert progress.mode == "serial-fallback"

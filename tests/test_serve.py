@@ -403,8 +403,8 @@ def replays(monkeypatch):
 
 class TestLatencyFold(object):
     """The gateway buffers served latencies and folds them at report
-    boundaries, at ``FOLD_VALUES``, and when a run ends; both latency
-    histograms must end exactly where per-flush observation would."""
+    boundaries, at ``FOLD_VALUES``, and when a run ends; its latency
+    histogram must end exactly where per-flush observation would."""
 
     @staticmethod
     def assert_folded(gateway, flushes):
@@ -431,8 +431,21 @@ class TestLatencyFold(object):
         gateway = make_sky_gateway(seed=4, config=config)
         flushes = record_flushes(gateway)
         gateway.run_sync(1.5)
-        assert len(replays) >= 4
+        assert len(replays) >= 2
         self.assert_folded(gateway, flushes)
+
+    def test_report_histogram_is_the_registry_series(self):
+        gateway = make_gateway()
+        assert gateway.report.histogram is \
+            gateway.obs.registry.histogram("serve_latency_s")
+
+    def test_second_gateway_on_a_used_facade_raises(self):
+        gateway = make_gateway(rate_rps=1500.0)
+        gateway.run_sync(0.5)
+        assert gateway.report.served
+        with pytest.raises(ConfigurationError, match="serve_latency_s"):
+            ServeGateway(gateway.controller, gateway.workload,
+                         PoissonArrivals(1500.0, seed=7))
 
     def test_drained_run_accounts_every_latency(self):
         config = GatewayConfig(report_every_s=100.0)
