@@ -51,13 +51,11 @@ from repro import (
 )
 from repro import reporting
 from repro.common.errors import CharacterizationError
-from repro.cloudsim.adapters import sampling_poll_size
 from repro.cloudsim.catalog import (
     catalog_region_names,
     provider_name_of_zone,
     zone_spec,
 )
-from repro.cloudsim.provider import CORE_PROVIDERS
 from repro.faults.schedule import PRESET_NAMES
 from repro.workloads import all_workloads, resolve_runtime_model
 
@@ -484,59 +482,35 @@ def cmd_characterize(args, out):
     max_polls = args.polls if args.polls else None
     config = {"zones": args.zone, "polls": args.polls,
               "workers": args.workers}
+    from repro.engine import CampaignTask, CloudSpec, Grid, SweepEngine
     with _flight_record(args, out, "characterize", config,
                         obs=observability) as run:
         if len(zones) == 1:
-            result = _characterize_one(args, zones[0], observability,
-                                       count, max_polls)
-            _write_campaign_block(out, zones[0], result)
-            _write_artifacts(args, out, reporting.campaign_to_dict(result))
-            run["summary"] = {"zones": 1, "polls_run": result.polls_run}
-            return 0
-        # Multi-zone: one independent campaign cell per zone, fanned out
-        # over the parallel engine.  Each cell's cloud seed is
-        # spawn-keyed from --seed and the zone id, so the output is
-        # byte-identical at any --workers setting.
-        from repro.engine import CampaignTask, CloudSpec, Grid, SweepEngine
-        grid = Grid([("zone", zones)], root_seed=args.seed,
-                    namespace="characterize")
-        tasks = []
-        for cell in grid.cells():
-            zone_id = dict(cell.key)["zone"]
-            tasks.append(CampaignTask(
-                CloudSpec.for_zones([zone_id], seed=cell.seed), zone_id,
-                endpoints=count, max_polls=max_polls))
-        results = SweepEngine(workers=args.workers,
-                              obs=observability).run(tasks)
+            # One campaign runs on the root seed itself.
+            seeds = [args.seed]
+        else:
+            # One independent campaign cell per zone, each cloud seed
+            # spawn-keyed from --seed and the zone id, so the output is
+            # byte-identical at any --workers setting.
+            grid = Grid([("zone", zones)], root_seed=args.seed,
+                        namespace="characterize")
+            seeds = [cell.seed for cell in grid.cells()]
+            run["grid_hash"] = grid.content_hash()
+        tasks = [CampaignTask(CloudSpec.for_zones([zone_id], seed=seed),
+                              zone_id, endpoints=count, max_polls=max_polls)
+                 for zone_id, seed in zip(zones, seeds)]
+        # A recording ships each cell's cloud events home.
+        results = SweepEngine(workers=args.workers, obs=observability,
+                              telemetry=observability is not None).run(tasks)
         for zone_id, result in zip(zones, results):
             _write_campaign_block(out, zone_id, result)
-        _write_artifacts(args, out, [reporting.campaign_to_dict(r)
-                                     for r in results])
-        run["grid_hash"] = grid.content_hash()
+        payloads = [reporting.campaign_to_dict(r) for r in results]
+        _write_artifacts(args, out,
+                         payloads[0] if len(payloads) == 1 else payloads)
         run["summary"] = {"zones": len(zones)}
+        if len(zones) == 1:
+            run["summary"]["polls_run"] = results[0].polls_run
     return 0
-
-
-def _characterize_one(args, zone_id, observability, count, max_polls):
-    """One zone's sampling campaign, run in this process."""
-    if provider_name_of_zone(zone_id) in CORE_PROVIDERS:
-        cloud = build_sky(seed=args.seed)
-    else:
-        # Scenario-pack zones are opt-in: build just their region.
-        from repro.engine import CloudSpec
-        cloud = CloudSpec.for_zones([zone_id], seed=args.seed).build()
-    if observability is not None:
-        observability.install(cloud)
-    region = cloud.region_of_zone(zone_id)
-    account = cloud.create_account("cli", region.provider.name)
-    endpoints = SkyMesh(cloud).deploy_sampling_endpoints(
-        account, zone_id, count=count,
-        memory_base_mb=min(2048, region.provider.memory_options_mb[-1]
-                           - count))
-    campaign = SamplingCampaign(
-        cloud, endpoints, n_requests=sampling_poll_size(region.provider),
-        max_polls=max_polls)
-    return campaign.run()
 
 
 def cmd_profile(args, out):

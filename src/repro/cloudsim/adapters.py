@@ -16,8 +16,8 @@ so each axis is a small strategy object collected on a
   pinned min-instance floor;
 * **quota model** — hard cap, burst-then-throttle, or a token-refill
   bucket, holding per-account state;
-* **pool-scaling rule** — the surge-capacity envelope written into zone
-  recipes;
+* **pool-scaling rule** — the surge-capacity envelope each zone's
+  :class:`ScalingPolicy` is sized from;
 * **preemption** — an optional ``(interval_s, fraction)`` schedule of
   seeded capacity reclaims (spot-style), applied by
   :class:`PreemptionProcess`.
@@ -25,10 +25,11 @@ so each axis is a small strategy object collected on a
 Pricing stays the :class:`~repro.cloudsim.billing.BillingModel` carried
 by ``ProviderConfig.billing``; scenario packs supply their own.
 
-Fixed cold starts draw nothing, the default scaling rule emits the
-historical recipe tuple, the hard cap admits ``min(n, cap)``, and the
-sliding keep-alive adds zero work to the allocation path — which keeps
-the core providers' seeded outputs stable.
+The zone builder (:func:`repro.cloudsim.catalog.build_zone`) reads these
+objects directly.  Fixed cold starts draw nothing, the default scaling
+rule gives the historical envelope, the hard cap admits ``min(n, cap)``,
+and the sliding keep-alive adds zero work to the allocation path —
+which keeps the core providers' seeded outputs stable.
 """
 
 from operator import attrgetter
@@ -162,12 +163,10 @@ class SlidingWindowKeepAlive(object):
     kind = "sliding"
 
     def __init__(self, idle_ttl):
-        if idle_ttl <= 0:
-            raise ConfigurationError("idle_ttl must be positive")
+        if not idle_ttl > 0:  # NaN fails too
+            raise ConfigurationError(
+                "idle_ttl must be positive, got {!r}".format(idle_ttl))
         self.idle_ttl = float(idle_ttl)
-
-    def spec(self):
-        return ("sliding", self.idle_ttl)
 
     def __repr__(self):
         return "SlidingWindowKeepAlive({:g}s)".format(self.idle_ttl)
@@ -184,14 +183,11 @@ class FixedLeaseKeepAlive(object):
     kind = "lease"
 
     def __init__(self, idle_ttl, lease_s):
-        if idle_ttl <= 0 or lease_s <= 0:
+        if not (idle_ttl > 0 and lease_s > 0):
             raise ConfigurationError(
                 "idle_ttl and lease_s must be positive")
         self.idle_ttl = float(idle_ttl)
         self.lease_s = float(lease_s)
-
-    def spec(self):
-        return ("lease", self.idle_ttl, self.lease_s)
 
     def __repr__(self):
         return "FixedLeaseKeepAlive(idle={:g}s, lease={:g}s)".format(
@@ -211,35 +207,15 @@ class ContainerReuseKeepAlive(object):
     kind = "container-reuse"
 
     def __init__(self, idle_ttl, min_instances):
-        if idle_ttl <= 0:
-            raise ConfigurationError("idle_ttl must be positive")
+        if not idle_ttl > 0:  # NaN fails too
+            raise ConfigurationError(
+                "idle_ttl must be positive, got {!r}".format(idle_ttl))
         self.idle_ttl = float(idle_ttl)
         self.min_instances = positive_count("min_instances", min_instances)
-
-    def spec(self):
-        return ("container-reuse", self.idle_ttl, self.min_instances)
 
     def __repr__(self):
         return "ContainerReuseKeepAlive(idle={:g}s, min={})".format(
             self.idle_ttl, self.min_instances)
-
-
-def keepalive_policy_from_spec(spec):
-    """Rebuild a keep-alive policy from its pure-data ``spec()`` tuple.
-
-    This is how policies survive the pickled catalog plan: recipes carry
-    the tuple, :func:`~repro.cloudsim.catalog.zone_from_recipe` rebuilds
-    the object.
-    """
-    kind = spec[0]
-    if kind == "sliding":
-        return SlidingWindowKeepAlive(spec[1])
-    if kind == "lease":
-        return FixedLeaseKeepAlive(spec[1], spec[2])
-    if kind == "container-reuse":
-        return ContainerReuseKeepAlive(spec[1], spec[2])
-    raise ConfigurationError(
-        "unknown keep-alive policy kind {!r}".format(kind))
 
 
 # -- quota models --------------------------------------------------------------
@@ -371,11 +347,36 @@ def sampling_poll_size(provider):
 
 # -- pool scaling --------------------------------------------------------------
 
-class PoolScalingRule(object):
-    """The surge-scaling envelope written into zone recipes.
+def _scaling_rates(pressure_threshold, slots_per_minute):
+    """Checked ``(pressure_threshold, slots_per_minute)`` as floats."""
+    if not 0 < pressure_threshold <= 1:
+        raise ConfigurationError("pressure_threshold must be in (0, 1]")
+    if not 0 <= slots_per_minute < float("inf"):
+        raise ConfigurationError(
+            "slots_per_minute must be non-negative and finite, got "
+            "{!r}".format(slots_per_minute))
+    return float(pressure_threshold), float(slots_per_minute)
 
-    The default instance reproduces the seed recipe tuple exactly:
-    ``(0.85, 8, max(256, slots // 12))``.
+
+class ScalingPolicy(object):
+    """How fast a zone adds capacity under sustained pressure."""
+
+    __slots__ = ("pressure_threshold", "slots_per_minute", "max_surge_slots")
+
+    def __init__(self, pressure_threshold=0.85, slots_per_minute=8,
+                 max_surge_slots=2048):
+        self.pressure_threshold, self.slots_per_minute = _scaling_rates(
+            pressure_threshold, slots_per_minute)
+        self.max_surge_slots = non_negative_count("max_surge_slots",
+                                                  max_surge_slots)
+
+
+class PoolScalingRule(object):
+    """A provider's surge-scaling envelope, sized per zone by
+    :meth:`policy`.
+
+    The default rule gives a zone of ``slots`` provisioned slots the
+    seed envelope ``ScalingPolicy(0.85, 8, max(256, slots // 12))``.
     """
 
     __slots__ = ("pressure_threshold", "slots_per_minute", "surge_floor",
@@ -383,22 +384,19 @@ class PoolScalingRule(object):
 
     def __init__(self, pressure_threshold=0.85, slots_per_minute=8,
                  surge_floor=256, surge_divisor=12):
-        if not 0 < pressure_threshold <= 1:
-            raise ConfigurationError("pressure_threshold must be in (0, 1]")
-        if not 0 <= slots_per_minute < float("inf"):
-            raise ConfigurationError("invalid scaling rule parameters")
-        self.pressure_threshold = pressure_threshold
-        self.slots_per_minute = slots_per_minute
+        self.pressure_threshold, self.slots_per_minute = _scaling_rates(
+            pressure_threshold, slots_per_minute)
         self.surge_floor = non_negative_count("surge_floor", surge_floor)
         self.surge_divisor = positive_count("surge_divisor", surge_divisor)
 
-    def recipe(self, slots):
-        """The ``(pressure, slots/min, max_surge)`` recipe tuple."""
-        return (self.pressure_threshold, self.slots_per_minute,
-                max(self.surge_floor, slots // self.surge_divisor))
+    def policy(self, slots):
+        """The :class:`ScalingPolicy` of a zone with ``slots`` slots."""
+        return ScalingPolicy(self.pressure_threshold, self.slots_per_minute,
+                             max(self.surge_floor,
+                                 slots // self.surge_divisor))
 
     def __repr__(self):
-        return ("PoolScalingRule(threshold={}, per_minute={}, "
+        return ("PoolScalingRule(threshold={:g}, per_minute={:g}, "
                 "floor={}, divisor={})".format(
                     self.pressure_threshold, self.slots_per_minute,
                     self.surge_floor, self.surge_divisor))
@@ -409,10 +407,11 @@ class PoolScalingRule(object):
 class ProviderAdapter(object):
     """One platform's pluggable behavior bundle.
 
-    ``preemption`` is ``None`` or a pure-data ``(interval_s, fraction)``
-    tuple; zone recipes carry it and :func:`zone_from_recipe` attaches a
-    seeded :class:`PreemptionProcess`.  Pricing lives on the owning
-    ``ProviderConfig.billing`` — packs ship their own billing models.
+    ``preemption`` is ``None`` or an ``(interval_s, fraction)`` tuple;
+    :func:`~repro.cloudsim.catalog.build_zone` attaches a seeded
+    :class:`PreemptionProcess` per zone from it.  Pricing lives on the
+    owning ``ProviderConfig.billing`` — packs ship their own billing
+    models.
     """
 
     __slots__ = ("cold_start", "keepalive", "quota", "scaling", "preemption")

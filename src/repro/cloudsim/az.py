@@ -29,40 +29,18 @@ makes rare low-affinity hardware surface only late in a campaign.
 
 import math
 
-from repro.common.errors import (
-    ConfigurationError,
-    SaturationError,
-    non_negative_count,
-)
+from repro.common.errors import ConfigurationError, SaturationError
 from repro.common.distributions import CategoricalDistribution
 from repro.common.ids import make_id_factory
 from repro.common.rng import derive_rng
 from repro.common.units import MINUTES
+from repro.cloudsim.adapters import ScalingPolicy, SlidingWindowKeepAlive
 from repro.cloudsim.instance import FIBucket
 from repro.faults.injector import NULL_INJECTOR
 from repro.obs.hooks import NULL_BUS
 
 
-DEFAULT_KEEPALIVE = 5 * MINUTES
-
-
-class ScalingPolicy(object):
-    """How fast the platform adds capacity under sustained pressure."""
-
-    __slots__ = ("pressure_threshold", "slots_per_minute", "max_surge_slots")
-
-    def __init__(self, pressure_threshold=0.85, slots_per_minute=8,
-                 max_surge_slots=2048):
-        if not 0 < pressure_threshold <= 1:
-            raise ConfigurationError("pressure_threshold must be in (0, 1]")
-        if not 0 <= slots_per_minute < float("inf"):
-            raise ConfigurationError(
-                "slots_per_minute must be non-negative and finite, got "
-                "{!r}".format(slots_per_minute))
-        self.pressure_threshold = float(pressure_threshold)
-        self.slots_per_minute = float(slots_per_minute)
-        self.max_surge_slots = non_negative_count("max_surge_slots",
-                                                  max_surge_slots)
+DEFAULT_KEEPALIVE = SlidingWindowKeepAlive(5 * MINUTES)
 
 
 class PlacementResult(object):
@@ -111,19 +89,19 @@ class AvailabilityZone(object):
     """A FaaS deployment zone backed by a finite heterogeneous host pool."""
 
     def __init__(self, zone_id, pools, clock, keepalive=DEFAULT_KEEPALIVE,
-                 scaling=None, rng=None, keepalive_policy=None, now=None):
+                 scaling=None, rng=None, now=None):
         if not pools:
             raise ConfigurationError("zone needs at least one host pool")
         keys = [p.cpu_key for p in pools]
         if len(set(keys)) != len(keys):
             raise ConfigurationError("duplicate CPU pools in zone")
-        if not keepalive >= 0:
-            raise ConfigurationError(
-                "keepalive must be non-negative, got {!r}".format(keepalive))
         self.zone_id = zone_id
         self.pools = {p.cpu_key: p for p in pools}
         self.clock = clock
-        self.keepalive = float(keepalive)
+        #: The keep-alive policy (:mod:`repro.cloudsim.adapters`);
+        #: ``keepalive`` is its idle TTL in seconds.
+        self.keepalive_policy = keepalive
+        self.keepalive = keepalive.idle_ttl
         self.scaling = scaling or ScalingPolicy()
         self.rng = derive_rng(rng, "az", zone_id)
         self._new_instance_id = make_id_factory("fi-" + zone_id)
@@ -134,7 +112,7 @@ class AvailabilityZone(object):
         for pool in pools:
             pool.on_release = self._bucket_released
         # ``now`` backdates a zone built after its install time (see
-        # :func:`~repro.cloudsim.catalog.zone_from_recipe`).
+        # :func:`~repro.cloudsim.catalog.build_zone`).
         self._last_scale_check = clock.now if now is None else float(now)
         self._surge_slots_added = 0
         self._base_slots = self._slot_snapshot()
@@ -143,16 +121,11 @@ class AvailabilityZone(object):
         self._preempt = None
         self._bus = NULL_BUS
         self._faults = NULL_INJECTOR
-        # Keep-alive policy hook (provider adapters).  The default
-        # sliding window needs no per-allocation work, so the hot paths
-        # only branch on ``_ka_dynamic`` — one cached bool.
-        self.keepalive_policy = keepalive_policy
-        kind = keepalive_policy.kind if keepalive_policy is not None \
-            else "sliding"
-        self._ka_lease = (keepalive_policy.lease_s if kind == "lease"
-                          else None)
-        self._ka_pin = keepalive_policy if kind == "container-reuse" \
-            else None
+        # The sliding window needs no per-allocation work, so the hot
+        # paths only branch on ``_ka_dynamic`` — one cached bool.
+        kind = keepalive.kind
+        self._ka_lease = keepalive.lease_s if kind == "lease" else None
+        self._ka_pin = keepalive if kind == "container-reuse" else None
         self._ka_dynamic = (self._ka_lease is not None
                             or self._ka_pin is not None)
 

@@ -22,15 +22,18 @@ IBM and DO zones are (near-)homogeneous, matching the paper's finding of no
 exploitable heterogeneity outside AWS.
 """
 
-from repro.common.errors import UnknownZoneError
-from repro.cloudsim.adapters import (
-    PreemptionProcess,
-    keepalive_policy_from_spec,
-)
-from repro.cloudsim.az import AvailabilityZone, ScalingPolicy
+from collections import namedtuple
+from functools import partial
+
+from repro.common.errors import ConfigurationError, UnknownZoneError
+from repro.cloudsim.adapters import PreemptionProcess
+from repro.cloudsim.az import AvailabilityZone
 from repro.cloudsim.cloud import Cloud
 from repro.cloudsim.drift import DriftProfile, DriftProcess
 from repro.cloudsim.host import HostPool
+from repro.cloudsim.network import GeoPoint
+from repro.cloudsim.provider import provider_by_name
+from repro.cloudsim.region import Region
 
 
 class ZoneSpec(object):
@@ -260,80 +263,38 @@ def _default_affinity(cpu_key, share, overrides):
     return 1.0
 
 
-def zone_recipe(zone_id, spec, provider):
-    """Resolve a :class:`ZoneSpec` into a pure-data build recipe.
+def build_zone(zone_id, spec, provider, clock, seed, now):
+    """Build the live :class:`AvailabilityZone` a :class:`ZoneSpec`
+    declares on ``provider``.
 
-    The recipe is everything :func:`zone_from_recipe` needs to construct
-    the zone — pool sizes, affinities, scaling envelope, drift class — as
-    plain tuples/dicts.  Recipes are picklable and immutable in practice,
-    which is what lets each process compute the full catalog's plan once
-    (:mod:`repro.cloudsim.shared_catalog`) instead of re-deriving it from
-    the spec tables per cell.
-    """
-    pools = []
-    slots_per_host = provider.slots_per_host
-    for cpu_key, share in sorted(spec.mix.items()):
-        hosts = max(1, int(round(spec.slots * share / slots_per_host)))
-        affinity = _default_affinity(cpu_key, share, spec.affinity)
-        pools.append((cpu_key, hosts, slots_per_host, affinity))
-    adapter = provider.adapter
-    recipe = {
-        "zone_id": zone_id,
-        "pools": tuple(pools),
-        "keepalive": adapter.keepalive.idle_ttl,
-        # The default PoolScalingRule reproduces the historical envelope
-        # ``(0.85, 8, max(256, slots // 12))`` exactly.
-        "scaling": adapter.scaling.recipe(spec.slots),
-        "drift": spec.drift,
-    }
-    # Non-default adapter axes appear as *extra* keys only, so default
-    # recipes stay byte-identical to what earlier plans pickled.
-    policy = adapter.keepalive
-    if policy.kind != "sliding":
-        recipe["keepalive_policy"] = policy.spec()
-    if adapter.preemption is not None:
-        recipe["preemption"] = adapter.preemption
-    return recipe
-
-
-def zone_from_recipe(recipe, clock, seed, now=None):
-    """Construct a live :class:`AvailabilityZone` from a build recipe.
-
-    ``now`` (default: ``clock.now``) is the time the zone is built *as
-    of*: it starts the scaling window and applies the drift and
-    preemption processes' first checks.  A zone built on first use
+    Pools come from ``spec``; keep-alive, scaling envelope and
+    preemption from ``provider.adapter``.  ``now`` is the time the zone
+    is built *as of*: it starts the scaling window and applies the drift
+    and preemption processes' first checks.  A zone built on first use
     passes its install time, so it is the zone an eager install would
     have left untouched until that use.  Its RNG and drift seeds are
     keyed on ``(seed, zone_id)``, never on build order.
     """
-    if now is None:
-        now = clock.now
-    pools = [HostPool(cpu_key, hosts, slots_per_host, affinity=affinity)
-             for cpu_key, hosts, slots_per_host, affinity
-             in recipe["pools"]]
-    pressure, per_minute, max_surge = recipe["scaling"]
-    scaling = ScalingPolicy(
-        pressure_threshold=pressure,
-        slots_per_minute=per_minute,
-        max_surge_slots=max_surge,
-    )
-    policy_spec = recipe.get("keepalive_policy")
-    keepalive_policy = (keepalive_policy_from_spec(policy_spec)
-                        if policy_spec is not None else None)
-    zone = AvailabilityZone(recipe["zone_id"], pools, clock,
-                            keepalive=recipe["keepalive"],
-                            scaling=scaling, rng=seed,
-                            keepalive_policy=keepalive_policy, now=now)
-    profile = _DRIFT_FACTORIES[recipe["drift"]]()
-    total_hosts = sum(p.hosts for p in pools)
-    drift = DriftProcess(recipe["zone_id"], zone.cpu_slot_shares(),
-                         total_hosts, profile, seed=seed)
+    slots_per_host = provider.slots_per_host
+    pools = [HostPool(cpu_key,
+                      max(1, int(round(spec.slots * share / slots_per_host))),
+                      slots_per_host,
+                      affinity=_default_affinity(cpu_key, share,
+                                                 spec.affinity))
+             for cpu_key, share in sorted(spec.mix.items())]
+    adapter = provider.adapter
+    zone = AvailabilityZone(zone_id, pools, clock,
+                            keepalive=adapter.keepalive,
+                            scaling=adapter.scaling.policy(spec.slots),
+                            rng=seed, now=now)
+    drift = DriftProcess(zone_id, zone.cpu_slot_shares(),
+                         sum(p.hosts for p in pools),
+                         _DRIFT_FACTORIES[spec.drift](), seed=seed)
     zone.attach_drift(drift, now=now)
-    preemption = recipe.get("preemption")
-    if preemption is not None:
-        interval_s, fraction = preemption
+    if adapter.preemption is not None:
+        interval_s, fraction = adapter.preemption
         zone.attach_preemption(PreemptionProcess(
-            recipe["zone_id"], interval_s, fraction, seed=seed), now=now)
+            zone_id, interval_s, fraction, seed=seed), now=now)
     return zone
 
 
@@ -350,23 +311,64 @@ def build_global_catalog(seed=0, clock=None, aws_only=False):
 
 
 def install_catalog(cloud, aws_only=False, regions=None):
-    """Install catalog regions into an existing :class:`Cloud`.
+    """Install catalog regions into ``cloud``: the one install path.
 
-    ``regions`` optionally restricts installation to a subset of region
-    names (useful for focused tests that do not need the whole planet);
-    scenario-pack regions install only when named there.  A named region
-    that is not in the catalog, or that ``aws_only`` filters out, raises
-    :class:`~repro.common.errors.ConfigurationError`.
+    ``aws_only`` keeps AWS regions; ``regions`` keeps the named ones,
+    and scenario-pack regions install only when named there.  A named
+    region the catalog lacks, or that ``aws_only`` filters out, raises
+    :class:`~repro.common.errors.ConfigurationError` before anything is
+    installed.  Regions install in catalog order (:func:`_catalog`).
 
-    This is :func:`~repro.cloudsim.shared_catalog.install_plan` over the
-    process's memoized :func:`~repro.cloudsim.shared_catalog.catalog_plan`:
-    each zone is registered now and built the first time it is used.
+    Each zone is *registered* with the clock time now, and built by
+    :func:`build_zone` as of that time the first time anything asks for
+    it (:class:`~repro.cloudsim.region.ZoneMap`), so a sky costs only the
+    zones its run touches.  Only the installed regions' providers are
+    resolved, so a core-provider sky never loads the scenario packs.
     """
-    # Imported here: shared_catalog imports this module.
-    from repro.cloudsim.shared_catalog import catalog_plan, install_plan
+    rows = _catalog()[0]
+    selected = []
+    for row in rows:
+        if regions is None:
+            if row.pack:
+                continue
+        elif row.name not in regions:
+            continue
+        if aws_only and row.provider != "aws":
+            continue
+        selected.append(row)
+    if regions is not None and len(selected) < len(set(regions)):
+        raise _dropped_regions_error(rows, regions, selected)
+    clock = cloud.clock
+    seed = cloud.seed
+    installed_at = clock.now
+    for row in selected:
+        provider = provider_by_name(row.provider)
+        region = Region(row.name, provider, GeoPoint(row.lat, row.lon))
+        for zone_id, spec in row.zones:
+            region.register_zone(zone_id, partial(
+                build_zone, zone_id, spec, provider, clock, seed,
+                installed_at))
+        cloud.add_region(region)
+    return cloud
 
-    return install_plan(cloud, catalog_plan(), aws_only=aws_only,
-                        regions=regions)
+
+def _dropped_regions_error(rows, regions, selected):
+    """Name each requested region :func:`install_catalog` would not
+    install."""
+    known = {row.name for row in rows}
+    dropped = sorted(set(regions) - {row.name for row in selected})
+    problems = []
+    unknown = [name for name in dropped if name not in known]
+    if unknown:
+        problems.append("not in the catalog: {}".format(", ".join(unknown)))
+    # A known region is dropped only by the aws_only filter.
+    off_aws = [name for name in dropped if name in known]
+    if off_aws:
+        problems.append("not on AWS, but aws_only=True: {}".format(
+            ", ".join(off_aws)))
+    return ConfigurationError(
+        "requested regions would not install ({})".format(
+            "; ".join(problems)))
 
 
 def catalog_region_names(provider=None):
@@ -376,47 +378,57 @@ def catalog_region_names(provider=None):
     explicitly (``provider="ce-caas"`` etc.) — the unfiltered listing
     remains the default 41-region sky.
     """
-    names = []
-    if provider in (None, "aws"):
-        names.extend(sorted(AWS_REGION_SPECS))
-    if provider in (None, "ibm"):
-        names.extend(sorted(IBM_REGION_SPECS))
-    if provider in (None, "do"):
-        names.extend(sorted(DO_REGION_SPECS))
-    if provider is not None and provider in PACK_REGION_SPECS:
-        names.extend(sorted(PACK_REGION_SPECS[provider]))
-    return names
+    return [row.name for row in _catalog()[0]
+            if (not row.pack if provider is None
+                else row.provider == provider)]
 
 
-#: zone_id -> (region_name, provider_name, ZoneSpec), built lazily once.
-#: The spec tables are module constants, so a single memoized pass
-#: replaces the O(catalog) scans the per-zone lookups used to do.
-_ZONE_TABLE = None
+#: One catalog region: ``zones`` is ``((zone_id, ZoneSpec), ...)`` in
+#: zone-id order; ``pack`` marks the opt-in scenario-pack regions.
+_CatalogRegion = namedtuple(
+    "_CatalogRegion", ("name", "provider", "lat", "lon", "pack", "zones"))
+
+#: ``(regions, zones)``, built once on first use: every
+#: :class:`_CatalogRegion` in install order (AWS by name, then IBM, then
+#: Digital Ocean, then each pack provider's regions), and
+#: ``zone_id -> (region_name, provider_name, ZoneSpec)``.  The spec
+#: tables are module constants, so one memoized walk serves every
+#: install and every zone lookup.
+_CATALOG = None
 
 
-def _zone_table():
-    global _ZONE_TABLE
-    if _ZONE_TABLE is None:
-        table = {}
-        for name, (_, _, zones) in AWS_REGION_SPECS.items():
-            for suffix, spec in zones.items():
-                table[name + suffix] = (name, "aws", spec)
+def _catalog():
+    global _CATALOG
+    if _CATALOG is None:
+        rows = []
+        for name in sorted(AWS_REGION_SPECS):
+            lat, lon, zones = AWS_REGION_SPECS[name]
+            rows.append(_CatalogRegion(name, "aws", lat, lon, False, tuple(
+                (name + suffix, zones[suffix]) for suffix in sorted(zones))))
         for provider_name, specs in (("ibm", IBM_REGION_SPECS),
                                      ("do", DO_REGION_SPECS)):
-            for name, (_, _, spec) in specs.items():
-                table[name] = (name, provider_name, spec)
-        for provider_name, pack_specs in PACK_REGION_SPECS.items():
-            for name, (_, _, zones) in pack_specs.items():
-                for suffix, spec in zones.items():
-                    table[name + suffix] = (name, provider_name, spec)
-        _ZONE_TABLE = table
-    return _ZONE_TABLE
+            for name in sorted(specs):
+                lat, lon, spec = specs[name]
+                rows.append(_CatalogRegion(name, provider_name, lat, lon,
+                                           False, ((name, spec),)))
+        for provider_name in sorted(PACK_REGION_SPECS):
+            pack_specs = PACK_REGION_SPECS[provider_name]
+            for name in sorted(pack_specs):
+                lat, lon, zones = pack_specs[name]
+                rows.append(_CatalogRegion(
+                    name, provider_name, lat, lon, True, tuple(
+                        (name + suffix, zones[suffix])
+                        for suffix in sorted(zones))))
+        zones = {zone_id: (row.name, row.provider, spec)
+                 for row in rows for zone_id, spec in row.zones}
+        _CATALOG = (tuple(rows), zones)
+    return _CATALOG
 
 
 def zone_spec(zone_id):
     """Return the declarative :class:`ZoneSpec` behind a zone id."""
     try:
-        return _zone_table()[zone_id][2]
+        return _catalog()[1][zone_id][2]
     except KeyError:
         raise UnknownZoneError(zone_id)
 
@@ -428,7 +440,7 @@ def region_name_of_zone(zone_id):
     actually touches, keeping per-worker cloud construction cheap.
     """
     try:
-        return _zone_table()[zone_id][0]
+        return _catalog()[1][zone_id][0]
     except KeyError:
         raise UnknownZoneError(zone_id)
 
@@ -436,6 +448,6 @@ def region_name_of_zone(zone_id):
 def provider_name_of_zone(zone_id):
     """Map a catalog zone id to its provider name."""
     try:
-        return _zone_table()[zone_id][1]
+        return _catalog()[1][zone_id][1]
     except KeyError:
         raise UnknownZoneError(zone_id)

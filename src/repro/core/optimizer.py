@@ -3,8 +3,9 @@
 Given each zone's CPU characterization and a workload's per-CPU runtime
 factors (Figure 9), the expected runtime factor of routing a request to a
 zone is the characterization-weighted mean factor.  The regional and hybrid
-policies route to the zone minimizing it, optionally bounded by client
-round-trip latency (the prior-work distance heuristic the paper builds on).
+policies route to the zone minimizing it.  Bounding candidates by client
+round-trip latency is :class:`~repro.core.green.MultiObjectivePolicy`'s
+job, not the ranker's.
 """
 
 from repro.common.errors import CharacterizationError, ConfigurationError
@@ -95,17 +96,13 @@ class ZoneRanker(object):
         return [zone_id for _, zone_id in scored]
 
     # -- ranking --------------------------------------------------------------
-    def rank(self, zone_ids, factors, client=None, max_rtt=None, now=None):
+    def rank(self, zone_ids, factors, now=None):
         """Zones sorted by ascending expected factor.
 
-        Zones without a usable characterization are skipped; ``max_rtt``
-        (seconds) drops zones too far from ``client``.
+        Zones without a usable characterization are skipped.
         """
         scored = []
         for zone_id in zone_ids:
-            if client is not None and max_rtt is not None:
-                if self._rtt(zone_id, client) > max_rtt:
-                    continue
             try:
                 score = self.expected_factor(zone_id, factors, now=now)
             except CharacterizationError:
@@ -120,10 +117,3 @@ class ZoneRanker(object):
             raise CharacterizationError(
                 "no routable zone among {}".format(list(zone_ids)))
         return ranked[0]
-
-    def _rtt(self, zone_id, client):
-        if self.cloud is None:
-            raise ConfigurationError(
-                "latency-bounded ranking needs a cloud")
-        region = self.cloud.region_of_zone(zone_id)
-        return self.cloud.network.round_trip(client, region.geo)

@@ -6,7 +6,7 @@ multi-day temporal series (EX-4), and routing studies (EX-5).  This
 package fans such grids out over a ``ProcessPoolExecutor`` while keeping
 the results **byte-identical to a serial run**:
 
-* :class:`CloudSpec` — a picklable recipe for a private simulated sky;
+* :class:`CloudSpec` — a picklable description of a private simulated sky;
   each grid cell's worker builds its own cloud, so no live simulator
   object crosses a process boundary;
 * :class:`Grid` / :class:`Cell` — deterministic enumeration of axis cross

@@ -61,7 +61,7 @@ _FORKSERVER_LOCK = threading.Lock()
 #: :mod:`concurrent.futures.process` is what each pool worker imports to
 #: unpickle its process object, before it runs anything.
 #: :mod:`repro.engine.forkserver_init` comes last: it memoizes the
-#: catalog plan and freezes the heap the others built.
+#: catalog index and freezes the heap the others built.
 FORKSERVER_PRELOAD = ("repro", "numpy.random", "concurrent.futures.process",
                       "repro.obs.ship", "repro.core.study",
                       "repro.engine.forkserver_init")

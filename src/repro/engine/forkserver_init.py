@@ -3,10 +3,10 @@
 :func:`repro.engine.executor._start_forkserver` lists this module after
 the packages it preloads.  Importing it
 
-* builds the per-process catalog plan
-  (:func:`~repro.cloudsim.shared_catalog.catalog_plan`, pure data from
-  the static catalog tables), so every pool worker forks with the plan
-  its first cloud build would otherwise make (~4 ms) already memoized;
+* builds the per-process catalog index
+  (:func:`repro.cloudsim.catalog._catalog`, the static spec tables in
+  install order), so every pool worker forks with the index its first
+  cloud build would otherwise make already memoized;
 * collects whatever garbage the imports left, then moves every surviving
   object into the collector's permanent generation (``gc.freeze()``).
   Workers' full collections then walk only the objects they allocate
@@ -22,8 +22,8 @@ process's heap too.
 
 import gc
 
-from repro.cloudsim.shared_catalog import catalog_plan
+from repro.cloudsim.catalog import _catalog
 
-catalog_plan()
+_catalog()
 gc.collect()
 gc.freeze()

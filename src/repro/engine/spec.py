@@ -1,4 +1,4 @@
-"""Cloud specifications: picklable recipes for building a simulated sky.
+"""Cloud specifications: picklable descriptions of a simulated sky.
 
 The deterministic parallel engine never ships a live :class:`Cloud` across
 a process boundary — clouds hold RNG state, event buses, and hundreds of
@@ -14,11 +14,11 @@ spans 41 regions.
 
 from repro.common.errors import ConfigurationError
 from repro.cloudsim.catalog import (
+    install_catalog,
     provider_name_of_zone,
     region_name_of_zone,
 )
 from repro.cloudsim.cloud import Cloud
-from repro.cloudsim.shared_catalog import catalog_plan, install_plan
 
 
 class CloudSpec(object):
@@ -70,18 +70,17 @@ class CloudSpec(object):
         the capture bus is attached so the cell's events are buffered for
         shipping — task code needs no telemetry-aware parameters.
 
-        Regions come from the memoized catalog *plan*
-        (:mod:`repro.cloudsim.shared_catalog`), so the spec tables are
-        resolved once per process, not per cell.  Each zone is built on
-        first use, as of this build's clock time, so a cell pays only for
-        the zones it touches.  A named region the catalog lacks, or that
-        ``aws_only`` filters out, raises
+        Regions install through
+        :func:`~repro.cloudsim.catalog.install_catalog`, whose catalog
+        table is walked once per process, not per cell.  Each zone is
+        built on first use, as of this build's clock time, so a cell pays
+        only for the zones it touches.  A named region the catalog lacks,
+        or that ``aws_only`` filters out, raises
         :class:`~repro.common.errors.ConfigurationError` here (not in the
         constructor, which sweeps call per cell).
         """
         cloud = Cloud(seed=self.seed)
-        install_plan(cloud, catalog_plan(), aws_only=self.aws_only,
-                     regions=self.regions)
+        install_catalog(cloud, aws_only=self.aws_only, regions=self.regions)
         from repro.obs.ship import current_capture
 
         capture = current_capture()

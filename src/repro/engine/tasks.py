@@ -16,6 +16,7 @@ worker resolves them against its own interpreter state.
 from repro.cloudsim.adapters import sampling_poll_size
 from repro.common.errors import ConfigurationError
 from repro.engine.spec import CloudSpec
+from repro.sampling.campaign import check_campaign_settings
 
 
 def run_task(task):
@@ -124,6 +125,8 @@ class CampaignTask(SweepTask):
                  max_polls=None, failure_threshold=0.5, inter_poll_gap=2.5,
                  summary=False):
         super().__init__(spec)
+        check_campaign_settings(failure_threshold, max_polls,
+                                inter_poll_gap)
         self.zone_id = zone_id
         self.endpoints = int(endpoints)
         self.n_requests = n_requests

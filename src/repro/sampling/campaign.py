@@ -113,21 +113,27 @@ class CampaignResult(object):
                                   self.total_cost))
 
 
+def check_campaign_settings(failure_threshold, max_polls, inter_poll_gap):
+    """Raise :class:`ConfigurationError` on a campaign setting out of
+    range: :class:`SamplingCampaign` and the engine's
+    :class:`~repro.engine.tasks.CampaignTask` both check here."""
+    if not 0 < failure_threshold <= 1:
+        raise ConfigurationError("failure_threshold must be in (0, 1]")
+    if max_polls is not None and max_polls < 1:
+        raise ConfigurationError(
+            "max_polls must be None or >= 1, got {!r}".format(max_polls))
+    if inter_poll_gap < 0:
+        raise ConfigurationError(
+            "inter_poll_gap must be >= 0, got {!r}".format(inter_poll_gap))
+
+
 class SamplingCampaign(object):
     """Run polls back-to-back until saturation (or the endpoint budget)."""
 
     def __init__(self, cloud, endpoints, n_requests=1000,
                  failure_threshold=0.5, max_polls=None,
                  inter_poll_gap=2.5):
-        if not 0 < failure_threshold <= 1:
-            raise ConfigurationError("failure_threshold must be in (0, 1]")
-        if max_polls is not None and max_polls < 1:
-            raise ConfigurationError(
-                "max_polls must be None or >= 1, got {!r}".format(max_polls))
-        if inter_poll_gap < 0:
-            raise ConfigurationError(
-                "inter_poll_gap must be >= 0, got {!r}".format(
-                    inter_poll_gap))
+        check_campaign_settings(failure_threshold, max_polls, inter_poll_gap)
         self.cloud = cloud
         self.poller = Poller(cloud, endpoints, n_requests=n_requests)
         self.failure_threshold = float(failure_threshold)

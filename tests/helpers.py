@@ -1,5 +1,6 @@
 """Shared construction helpers for the test suite."""
 
+from repro.cloudsim.adapters import SlidingWindowKeepAlive
 from repro.cloudsim.az import AvailabilityZone, ScalingPolicy
 from repro.cloudsim.cloud import Cloud
 from repro.cloudsim.host import HostPool
@@ -29,7 +30,8 @@ def make_zone(zone_id="test-1a", clock=None, pools=None, seed=0,
             HostPool("xeon-3.0", hosts=4, slots_per_host=64),
         ]
     scaling = scaling or ScalingPolicy(max_surge_slots=128)
-    return AvailabilityZone(zone_id, pools, clock, keepalive=keepalive,
+    return AvailabilityZone(zone_id, pools, clock,
+                            keepalive=SlidingWindowKeepAlive(keepalive),
                             scaling=scaling, rng=seed)
 
 
@@ -57,7 +59,7 @@ def make_cloud(seed=0, zones=None, region_name="test-1", provider="aws",
     for zone_id, pools in sorted(zones.items()):
         region.add_zone(AvailabilityZone(
             zone_id, pools, cloud.clock,
-            keepalive=provider_config.adapter.keepalive.idle_ttl,
+            keepalive=provider_config.adapter.keepalive,
             scaling=ScalingPolicy(max_surge_slots=128), rng=seed))
     cloud.add_region(region)
     return cloud

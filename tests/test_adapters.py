@@ -3,7 +3,7 @@ quota models, pool-scaling rules, preemption, and function timeouts.
 
 The load-bearing contracts: ``FixedColdStart`` never touches the RNG,
 the hard cap reproduces ``min(n, quota)``, the default
-``PoolScalingRule`` recipe matches the historical derivation exactly,
+``PoolScalingRule`` policy matches the historical derivation exactly,
 and the quota an account reports is the quota it enforces.
 """
 
@@ -23,7 +23,6 @@ from repro.cloudsim.adapters import (
     ProviderAdapter,
     SlidingWindowKeepAlive,
     TokenRefillQuota,
-    keepalive_policy_from_spec,
 )
 from repro.cloudsim.account import CloudAccount
 from repro.cloudsim.billing import AWS_LAMBDA_BILLING
@@ -83,23 +82,17 @@ class TestColdStartDistributions(object):
 
 
 class TestKeepAlivePolicies(object):
-    def test_specs_round_trip(self):
-        for policy in (SlidingWindowKeepAlive(300.0),
-                       FixedLeaseKeepAlive(600.0, 3600.0),
-                       ContainerReuseKeepAlive(600.0, 96)):
-            rebuilt = keepalive_policy_from_spec(policy.spec())
-            assert rebuilt.kind == policy.kind
-            assert rebuilt.spec() == policy.spec()
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigurationError):
-            keepalive_policy_from_spec(("caffeinated", 1.0))
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             SlidingWindowKeepAlive(0.0)
         with pytest.raises(ConfigurationError):
+            SlidingWindowKeepAlive(float("nan"))
+        with pytest.raises(ConfigurationError):
             FixedLeaseKeepAlive(600.0, -1.0)
+        with pytest.raises(ConfigurationError):
+            FixedLeaseKeepAlive(float("nan"), 3600.0)
+        with pytest.raises(ConfigurationError):
+            ContainerReuseKeepAlive(float("nan"), 96)
         with pytest.raises(ConfigurationError):
             ContainerReuseKeepAlive(600.0, 0)
 
@@ -177,17 +170,23 @@ class TestReportedQuotaIsEnforced(object):
         assert after.admit_batch(10 ** 9, 0.0) == 200000
 
 
+def _envelope(policy):
+    return (policy.pressure_threshold, policy.slots_per_minute,
+            policy.max_surge_slots)
+
+
 class TestPoolScalingRule(object):
     def test_default_recipe_matches_legacy_derivation(self):
         rule = PoolScalingRule()
         for slots in (64, 1024, 3072, 12288, 20480):
-            assert rule.recipe(slots) == (0.85, 8, max(256, slots // 12))
+            assert _envelope(rule.policy(slots)) == \
+                (0.85, 8, max(256, slots // 12))
 
     def test_custom_rule(self):
         rule = PoolScalingRule(pressure_threshold=0.7, slots_per_minute=4,
                                surge_floor=128, surge_divisor=16)
-        assert rule.recipe(3200) == (0.7, 4, 200)
-        assert rule.recipe(100) == (0.7, 4, 128)
+        assert _envelope(rule.policy(3200)) == (0.7, 4, 200)
+        assert _envelope(rule.policy(100)) == (0.7, 4, 128)
 
     @pytest.mark.parametrize("kwargs", [
         {"slots_per_minute": -1},
@@ -196,6 +195,7 @@ class TestPoolScalingRule(object):
         {"surge_floor": 128.5},  # used to truncate to 128
         {"surge_divisor": 0},
         {"surge_divisor": 12.5},  # used to truncate to 12
+        {"pressure_threshold": 0.0},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -217,15 +217,17 @@ class TestProviderAdapter(object):
         adapter = ProviderAdapter(FixedColdStart(0.1),
                                   SlidingWindowKeepAlive(300.0),
                                   HardCapQuota(10))
-        assert adapter.scaling.recipe(1200) == (0.85, 8, max(256, 100))
+        assert _envelope(adapter.scaling.policy(1200)) == \
+            (0.85, 8, max(256, 100))
 
     def test_aws_adapter_declares_paper_scalars(self):
         adapter = AWS_LAMBDA.adapter
         assert adapter.cold_start.is_fixed
         assert adapter.cold_start.sample(None) == 0.18
-        assert adapter.keepalive.spec() == ("sliding", 300.0)
+        assert adapter.keepalive.kind == "sliding"
+        assert adapter.keepalive.idle_ttl == 300.0
         assert adapter.quota.admit(None, 5000, 0.0) == 1000
-        assert adapter.scaling.recipe(1200) == (0.85, 8, 256)
+        assert _envelope(adapter.scaling.policy(1200)) == (0.85, 8, 256)
         assert adapter.preemption is None
 
 

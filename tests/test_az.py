@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import ConfigurationError, SaturationError
+from repro.cloudsim.adapters import SlidingWindowKeepAlive
 from repro.cloudsim.az import AvailabilityZone, ScalingPolicy, _apportion
 from repro.cloudsim.host import HostPool
 from tests.helpers import drain_zone, make_zone
@@ -23,7 +24,7 @@ class TestConstruction(object):
     def test_rejects_bad_keepalive(self, clock, keepalive):
         with pytest.raises(ConfigurationError):
             AvailabilityZone("z", [HostPool("xeon-2.5", 1, 16)], clock,
-                             keepalive=keepalive)
+                             keepalive=SlidingWindowKeepAlive(keepalive))
 
     @pytest.mark.parametrize("kwargs", [
         {"slots_per_minute": -5},

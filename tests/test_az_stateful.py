@@ -22,6 +22,7 @@ from hypothesis.stateful import (
 from hypothesis import strategies as st
 
 from repro.common.errors import SaturationError
+from repro.cloudsim.adapters import SlidingWindowKeepAlive
 from repro.cloudsim.az import AvailabilityZone, ScalingPolicy
 from repro.cloudsim.host import HostPool
 from repro.simclock import SimClock
@@ -40,7 +41,7 @@ class ZoneMachine(RuleBasedStateMachine):
                          affinity=0.5),
             ],
             self.clock,
-            keepalive=120.0,
+            keepalive=SlidingWindowKeepAlive(120.0),
             scaling=ScalingPolicy(max_surge_slots=0),
             rng=7,
         )

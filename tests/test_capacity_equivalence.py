@@ -55,6 +55,7 @@ from repro import build_sky
 from repro.cloudsim.adapters import (
     ContainerReuseKeepAlive,
     FixedLeaseKeepAlive,
+    SlidingWindowKeepAlive,
 )
 from repro.cloudsim.az import (
     AvailabilityZone,
@@ -1059,10 +1060,11 @@ def _pair_zone(policy, naive):
              HostPool("amd-epyc", hosts=1, slots_per_host=16,
                       affinity=0.5)]
     zone = AvailabilityZone(
-        "pair-1a", pools, clock, keepalive=60.0,
+        "pair-1a", pools, clock,
+        keepalive=KEEPALIVE_POLICIES[policy] or SlidingWindowKeepAlive(60.0),
         scaling=ScalingPolicy(pressure_threshold=0.5, slots_per_minute=90,
                               max_surge_slots=96),
-        rng=11, keepalive_policy=KEEPALIVE_POLICIES[policy])
+        rng=11)
     if naive:
         for key, pool in list(zone.pools.items()):
             zone.pools[key] = naive_pool(pool, zone)

@@ -45,7 +45,7 @@ def multi_provider_sky():
     region.add_zone(AvailabilityZone(
         "us-south",
         [HostPool("cascadelake-2.5", 10, ibm.slots_per_host)],
-        cloud.clock, keepalive=ibm.adapter.keepalive.idle_ttl,
+        cloud.clock, keepalive=ibm.adapter.keepalive,
         scaling=ScalingPolicy(max_surge_slots=64), rng=121))
     cloud.add_region(region)
     return cloud

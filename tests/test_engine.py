@@ -429,8 +429,8 @@ SWEEP_SCRIPT = textwrap.dedent("""\
     PRELOADED_RANDOM = "numpy.random" in sys.modules
     PRELOADED_FUTURES = "concurrent.futures.process" in sys.modules
     FROZEN = gc.get_freeze_count()
-    _catalog = sys.modules.get("repro.cloudsim.shared_catalog")
-    PLAN_WARM = _catalog is not None and _catalog._PLAN is not None
+    _catalog = sys.modules.get("repro.cloudsim.catalog")
+    CATALOG_WARM = _catalog is not None and _catalog._CATALOG is not None
 
     import json, os, pickle
     sys.path.insert(0, sys.argv[1])
@@ -461,7 +461,7 @@ SWEEP_SCRIPT = textwrap.dedent("""\
                     "preloaded_random": PRELOADED_RANDOM,
                     "preloaded_futures": PRELOADED_FUTURES,
                     "frozen": FROZEN,
-                    "plan_warm": PLAN_WARM,
+                    "catalog_warm": CATALOG_WARM,
                     "repro": repro.__file__,
                     "server_threads": _server_threads()}
 
@@ -528,7 +528,7 @@ class TestForkserverPreload(object):
             assert probe["preloaded_random"]
             assert probe["preloaded_futures"]
             assert probe["frozen"] > 1000  # the preloaded heap
-            assert probe["plan_warm"]
+            assert probe["catalog_warm"]
             assert probe["repro"] == report["repro"]
 
     def test_unpreloaded_server_and_other_methods_match_serial(self,
@@ -541,7 +541,7 @@ class TestForkserverPreload(object):
         assert report["mode"] == "pool"
         assert not any(probe["preloaded"] or probe["preloaded_futures"]
                        for probe in report["probes"])
-        assert not any(probe["frozen"] or probe["plan_warm"]
+        assert not any(probe["frozen"] or probe["catalog_warm"]
                        for probe in report["probes"])
 
     def test_pool_runs_with_deprecation_warnings_as_errors(self, tmp_path):

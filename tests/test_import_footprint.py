@@ -131,3 +131,20 @@ def test_every_exported_name_resolves(package):
     module = importlib.import_module(package)
     for name in module.__all__:
         getattr(module, name)
+
+
+@pytest.mark.parametrize("build", [
+    "from repro.engine import CloudSpec; "
+    "CloudSpec.for_zones(['us-west-1b']).build().zone('us-west-1b')",
+    "from repro import build_sky; build_sky(aws_only=True)",
+], ids=["one-region-spec", "aws-only-sky"])
+def test_core_provider_builds_do_not_load_packs(build):
+    # Only the installed regions' providers resolve, so a sky without
+    # pack regions never imports the scenario-pack tables.
+    env = dict(os.environ, PYTHONPATH=SRC)
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; {}; print('repro.cloudsim.packs' in sys.modules)"
+         .format(build)],
+        env=env, capture_output=True, text=True, check=True).stdout.strip()
+    assert loaded == "False"

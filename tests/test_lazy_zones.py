@@ -1,6 +1,6 @@
 """Zones built on first use, differential-tested against eager builds.
 
-``install_plan`` registers each zone and builds it the first time
+``install_catalog`` registers each zone and builds it the first time
 anything asks for it, *as of its install time*.  The reference here is a
 cloud whose every zone is built right after install, then left untouched
 until the same first use: both must hold the same state at that first

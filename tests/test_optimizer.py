@@ -6,8 +6,6 @@ from repro.common.errors import CharacterizationError
 from repro.common.units import Money
 from repro.core import CharacterizationStore, RetryPolicy, ZoneRanker
 from repro.sampling import CharacterizationBuilder
-from repro.cloudsim.network import GeoPoint
-from tests.helpers import make_cloud
 
 FACTORS = {"xeon-2.5": 1.0, "xeon-2.9": 1.25, "xeon-3.0": 0.9}
 
@@ -85,20 +83,3 @@ class TestRanking(object):
         ranker = ZoneRanker(store)
         with pytest.raises(CharacterizationError):
             ranker.best_zone(["ghost-zone"], FACTORS)
-
-    def test_latency_bound_filters_far_zones(self):
-        cloud = make_cloud(seed=1)
-        store = CharacterizationStore()
-        put_profile(store, "test-1a", {"xeon-2.5": 10})
-        put_profile(store, "test-1b", {"xeon-3.0": 10})
-        ranker = ZoneRanker(store, cloud=cloud)
-        sydney = GeoPoint(-33.9, 151.2)
-        # The test region sits near Seattle: a tight RTT bound from Sydney
-        # excludes every zone.
-        ranked = ranker.rank(["test-1a", "test-1b"], FACTORS,
-                             client=sydney, max_rtt=0.05)
-        assert ranked == []
-        # A generous bound admits both.
-        ranked = ranker.rank(["test-1a", "test-1b"], FACTORS,
-                             client=sydney, max_rtt=10.0)
-        assert len(ranked) == 2

@@ -3,12 +3,10 @@ name is accepted.
 
 Covers lazy registration through :func:`provider_by_name`, per-pack
 seeded determinism, vectorized-vs-looped equality on pack zones, the
-pickled catalog-plan round trip (adapters travel as pure-data recipe
-tuples), and the CaaS container-reuse floor that keeps repeat traffic
-warm across arbitrarily long idle gaps.
+adapter behaviour each built pack zone carries, and the CaaS
+container-reuse floor that keeps repeat traffic warm across arbitrarily
+long idle gaps.
 """
-
-import pickle
 
 import pytest
 
@@ -16,12 +14,12 @@ from repro.cloudsim import Cloud
 from repro.cloudsim.catalog import (
     PACK_REGION_SPECS,
     catalog_region_names,
+    install_catalog,
     provider_name_of_zone,
 )
 from repro.cloudsim.handlers import ModeledWorkloadHandler
 from repro.cloudsim.packs import PACK_PROVIDERS
 from repro.cloudsim.provider import PROVIDERS, provider_by_name
-from repro.cloudsim.shared_catalog import catalog_plan, install_plan
 from repro.engine.spec import CloudSpec
 from tests.helpers import PACK_ZONES
 
@@ -83,44 +81,41 @@ class TestSeededDeterminism(object):
         assert vec == loop
 
 
-class TestPlanRoundTrip(object):
-    def test_pack_entries_flagged_and_picklable(self):
-        plan = catalog_plan()
-        packs = [e for e in plan if e.get("pack")]
-        assert {e["provider"] for e in packs} == set(PACK_ZONES)
-        # Recipes are pure data: adapters travel as spec tuples, never
-        # as live objects.
-        restored = pickle.loads(pickle.dumps(plan))
-        assert restored == plan
-
-    def test_default_entries_carry_no_pack_keys(self):
-        for entry in catalog_plan():
-            if entry.get("pack"):
-                continue
-            for recipe in entry["zones"]:
-                assert "keepalive_policy" not in recipe
-                assert "preemption" not in recipe
-
-    def test_unpickled_plan_builds_identical_zone(self):
+class TestBuiltPackZones(object):
+    def test_caas_zone_identical_through_spec_and_install(self):
         zone_id = PACK_ZONES["ce-caas"]
         spec = CloudSpec.for_zones([zone_id], seed=3)
         reference = spec.build()
-        plan = pickle.loads(pickle.dumps(catalog_plan()))
-        rebuilt = install_plan(Cloud(seed=3), plan,
-                               regions=spec.regions)
+        installed = install_catalog(Cloud(seed=3), regions=spec.regions)
         keys = []
-        for cloud in (reference, rebuilt):
+        for cloud in (reference, installed):
+            zone = cloud.zone(zone_id)
+            assert zone.keepalive_policy is \
+                provider_by_name("ce-caas").adapter.keepalive
+            assert zone.keepalive == zone.keepalive_policy.idle_ttl
             account = cloud.create_account("acct", "ce-caas")
             deployment = cloud.deploy(account, zone_id, "fn", 1024,
                                       handler=_handler())
             keys.append(cloud.poll_batch(deployment, 200).aggregate_key())
         assert keys[0] == keys[1]
 
-    def test_spot_recipe_carries_preemption(self):
-        for entry in catalog_plan():
-            if entry["provider"] == "spot":
-                for recipe in entry["zones"]:
-                    assert recipe["preemption"] == (300.0, 0.25)
+    def test_only_spot_zones_preempt(self):
+        regions = tuple(catalog_region_names()) + tuple(sorted(
+            name for specs in PACK_REGION_SPECS.values() for name in specs))
+        cloud = install_catalog(Cloud(seed=4), regions=regions)
+        spot = set()
+        for zone_id in cloud.zone_ids():
+            process = cloud.zone(zone_id)._preempt
+            if provider_name_of_zone(zone_id) == "spot":
+                spot.add(zone_id)
+                assert (process.interval_s, process.fraction) == \
+                    (300.0, 0.25)
+            else:
+                assert process is None
+        assert spot == {name + suffix
+                        for name, (_, _, zones)
+                        in PACK_REGION_SPECS["spot"].items()
+                        for suffix in zones}
 
 
 class TestContainerReuseFloor(object):

@@ -1,25 +1,24 @@
-"""The shared catalog plan (``repro.cloudsim.shared_catalog``).
+"""The one catalog install path (``install_catalog``).
 
-``install_plan`` over the memoized plan is the only install path.  These
-tests pin the plan to the spec tables (every recipe equals a fresh
-``zone_recipe``, in install order) and the install to the plan's order
-and filters.
+``install_catalog`` walks one memoized, ordered catalog table and builds
+each zone from its spec and its provider's adapter on first use.  These
+tests pin that table to the spec tables (same regions, providers,
+coordinates and zone specs, in install order) and the install to the
+table's order and filters.
 """
 
 import pytest
 
 from repro.cloudsim import Cloud
 from repro.common.errors import ConfigurationError
+from repro.cloudsim import catalog
 from repro.cloudsim.catalog import (
     AWS_REGION_SPECS,
     DO_REGION_SPECS,
     IBM_REGION_SPECS,
     PACK_REGION_SPECS,
     install_catalog,
-    zone_recipe,
 )
-from repro.cloudsim.provider import provider_by_name
-from repro.cloudsim.shared_catalog import catalog_plan, install_plan
 from repro.engine import CampaignTask, CloudSpec, SweepEngine
 
 
@@ -66,16 +65,15 @@ def _spec_table_walk():
 
 
 def test_plan_recipes_match_fresh_spec_table_recipes():
-    plan = catalog_plan()
+    # The memoized catalog table is the spec tables, walked in install
+    # order: each region's provider, coordinates, pack flag and zone specs.
+    rows = catalog._catalog()[0]
     walk = _spec_table_walk()
-    assert [entry["name"] for entry in plan] == [row[0] for row in walk]
-    for entry, (name, provider, lat, lon, zones) in zip(plan, walk):
-        assert (entry["provider"], entry["lat"], entry["lon"]) == \
-            (provider, lat, lon)
-        assert bool(entry.get("pack")) == (provider in PACK_REGION_SPECS)
-        assert list(entry["zones"]) == [
-            zone_recipe(zone_id, spec, provider_by_name(provider))
-            for zone_id, spec in zones]
+    assert [row.name for row in rows] == [entry[0] for entry in walk]
+    for row, (name, provider, lat, lon, zones) in zip(rows, walk):
+        assert (row.provider, row.lat, row.lon) == (provider, lat, lon)
+        assert row.pack == (provider in PACK_REGION_SPECS)
+        assert list(row.zones) == zones
 
 
 @pytest.mark.parametrize("filters", [
@@ -86,30 +84,35 @@ def test_plan_recipes_match_fresh_spec_table_recipes():
     {"aws_only": False, "regions": ("spot-us-1", "eu-de", "us-east-2")},
 ])
 def test_install_follows_plan_order_and_filters(filters):
-    cloud = install_plan(Cloud(seed=7), catalog_plan(), **filters)
+    cloud = install_catalog(Cloud(seed=7), **filters)
     regions = filters.get("regions")
-    expected = [entry for entry in catalog_plan()
-                if (regions is None and not entry.get("pack"))
-                or (regions is not None and entry["name"] in regions)]
+    expected = [entry for entry in _spec_table_walk()
+                if (regions is None and entry[1] not in PACK_REGION_SPECS)
+                or (regions is not None and entry[0] in regions)]
     expected = [entry for entry in expected
-                if not filters["aws_only"] or entry["provider"] == "aws"]
-    assert list(cloud.regions) == [entry["name"] for entry in expected]
+                if not filters["aws_only"] or entry[1] == "aws"]
+    assert list(cloud.regions) == [entry[0] for entry in expected]
     assert cloud.zone_ids() == sorted(
-        recipe["zone_id"] for entry in expected
-        for recipe in entry["zones"])
-    assert _cloud_signature(install_catalog(Cloud(seed=7), **filters)) == \
-        _cloud_signature(cloud)
+        zone_id for entry in expected for zone_id, _ in entry[4])
+    for name, provider, lat, lon, _ in expected:
+        region = cloud.regions[name]
+        assert region.provider.name == provider
+        assert (region.geo.lat, region.geo.lon) == (lat, lon)
 
 
 def test_plan_is_memoized_and_immutable():
-    assert catalog_plan() is catalog_plan()
-    assert isinstance(catalog_plan(), tuple)
-    for entry in catalog_plan():
-        assert isinstance(entry["zones"], tuple)
+    assert catalog._catalog() is catalog._catalog()
+    rows, zones = catalog._catalog()
+    assert isinstance(rows, tuple)
+    for row in rows:
+        assert isinstance(row.zones, tuple)
+        for zone_id, spec in row.zones:
+            assert zones[zone_id] == (row.name, row.provider, spec)
 
 
 class TestCloudSpecBuild(object):
     def test_build_uses_active_plan(self):
+        # CloudSpec.build installs through install_catalog.
         built = CloudSpec(seed=5, aws_only=True).build()
         reference = install_catalog(Cloud(seed=5), aws_only=True)
         assert _cloud_signature(built) == _cloud_signature(reference)
@@ -129,8 +132,8 @@ class TestEngineIntegration(object):
                                  "us-west-1a", endpoints=3, n_requests=150,
                                  max_polls=2) for seed in range(3)]
 
-        # Each pool worker memoizes its own plan; the cells must not tell
-        # it apart from the serial run's.
+        # Each pool worker memoizes its own catalog table; the cells must
+        # not tell it apart from the serial run's.
         serial = SweepEngine(workers=1).run(tasks())
         engine = SweepEngine(workers=2)
         pooled = engine.run(tasks())
