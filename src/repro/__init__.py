@@ -8,23 +8,22 @@ system inventory and EXPERIMENTS.md for paper-vs-measured results.
 
 Quick start::
 
-    from repro import build_sky, SamplingCampaign, SkyMesh
+    from repro import CloudSpec, SamplingCampaign, SkyMesh
 
-    cloud = build_sky(seed=42)
+    cloud = CloudSpec.for_zones(["us-west-1b"], seed=42).build()
     account = cloud.create_account("research", "aws")
     mesh = SkyMesh(cloud)
     endpoints = mesh.deploy_sampling_endpoints(account, "us-west-1b")
     campaign = SamplingCampaign(cloud, endpoints)
     profile = campaign.run().ground_truth()
     print(profile.shares())
+
+A sky is built one way, from a :class:`CloudSpec`: ``for_zones`` builds
+only the regions hosting the named zones, and ``build_sky(seed,
+aws_only)`` is ``CloudSpec(seed, aws_only).build()``, the whole catalog.
 """
 
-from repro.cloudsim import (
-    Cloud,
-    CloudAccount,
-    CPU_CATALOG,
-    build_global_catalog,
-)
+from repro.cloudsim import Cloud, CloudAccount, CPU_CATALOG
 from repro.cloudsim.catalog import EX3_ZONES, EX4_ZONES
 from repro.core import (
     BaselinePolicy,
@@ -70,6 +69,7 @@ from repro.engine import (
     SweepEngine,
     TemporalTask,
 )
+from repro.engine.spec import build_sky
 from repro.obs import EventBus, MetricsRegistry, Observability, Tracer
 from repro.saaf import Inspector, report_from_invocation
 from repro.sampling import (
@@ -95,13 +95,9 @@ __getattr__ = lazy_getattr(globals(), {
     "SweepProgress": "repro.engine.progress",
 })
 
-# ``build_sky`` is the friendlier name for the catalog builder.
-build_sky = build_global_catalog
-
 __all__ = [
     "__version__",
     "build_sky",
-    "build_global_catalog",
     "Cloud",
     "CloudAccount",
     "CPU_CATALOG",

@@ -38,15 +38,22 @@ import argparse
 import contextlib
 import os
 import sys
+from collections import namedtuple
 
 from repro import (
+    CampaignTask,
+    CloudSpec,
+    Grid,
     Observability,
+    ProgressiveTask,
     SamplingCampaign,
     SkyController,
     SkyMesh,
+    StudyTask,
+    SweepEngine,
+    TemporalTask,
     UniversalDynamicFunctionHandler,
     WorkloadRunner,
-    build_sky,
     workload_by_name,
 )
 from repro import reporting
@@ -165,8 +172,7 @@ def build_parser():
         "sweep", help="fan an experiment grid (zones x seeds x ...) over "
                       "a process pool or socket workers; byte-identical "
                       "at any worker count")
-    sweep.add_argument("kind", choices=("campaign", "progressive",
-                                        "study", "temporal"))
+    sweep.add_argument("kind", choices=tuple(SWEEP_KINDS))
     _add_shared(sweep, "--zones", "--workers", "--serve", "--record",
                 "--auth-token", "--json")
     sweep.add_argument("--seeds", default="0",
@@ -175,7 +181,8 @@ def build_parser():
                             "own (zone, seed-token) key")
     sweep.add_argument("--polls", type=int, default=6,
                        help="max polls per campaign cell (0 = until "
-                            "saturation)")
+                            "saturation); temporal: polls per period "
+                            "(>= 1)")
     sweep.add_argument("--endpoints", type=int, default=10,
                        help="sampling endpoints per campaign cell")
     sweep.add_argument("--requests", type=int, default=None,
@@ -398,6 +405,26 @@ def _zone_list(text):
     return zones
 
 
+def _workload_list(text):
+    """Split a comma-separated workload list, failing fast on an unknown
+    workload."""
+    names = [w.strip() for w in text.split(",") if w.strip()]
+    for name in names:
+        workload_by_name(name)
+    return names
+
+
+def _run_seeds(args, axis, values, namespace):
+    """The seeds of one run per value: one value runs on the root seed
+    itself; several get spawn-keyed :class:`Grid` cells, so the output is
+    byte-identical at any ``--workers`` setting.  Returns ``(seeds,
+    grid_hash)``, the hash ``None`` for one value."""
+    if len(values) == 1:
+        return [args.seed], None
+    grid = Grid([(axis, values)], root_seed=args.seed, namespace=namespace)
+    return [cell.seed for cell in grid.cells()], grid.content_hash()
+
+
 @contextlib.contextmanager
 def _flight_record(args, out, kind, config, obs=None, guard=False):
     """``--record DIR``: a run manifest around the body of one command.
@@ -482,20 +509,10 @@ def cmd_characterize(args, out):
     max_polls = args.polls if args.polls else None
     config = {"zones": args.zone, "polls": args.polls,
               "workers": args.workers}
-    from repro.engine import CampaignTask, CloudSpec, Grid, SweepEngine
     with _flight_record(args, out, "characterize", config,
                         obs=observability) as run:
-        if len(zones) == 1:
-            # One campaign runs on the root seed itself.
-            seeds = [args.seed]
-        else:
-            # One independent campaign cell per zone, each cloud seed
-            # spawn-keyed from --seed and the zone id, so the output is
-            # byte-identical at any --workers setting.
-            grid = Grid([("zone", zones)], root_seed=args.seed,
-                        namespace="characterize")
-            seeds = [cell.seed for cell in grid.cells()]
-            run["grid_hash"] = grid.content_hash()
+        seeds, run["grid_hash"] = _run_seeds(args, "zone", zones,
+                                             "characterize")
         tasks = [CampaignTask(CloudSpec.for_zones([zone_id], seed=seed),
                               zone_id, endpoints=count, max_polls=max_polls)
                  for zone_id, seed in zip(zones, seeds)]
@@ -514,7 +531,7 @@ def cmd_characterize(args, out):
 
 
 def cmd_profile(args, out):
-    cloud = build_sky(seed=args.seed, aws_only=True)
+    cloud = CloudSpec.for_zones([args.zone], seed=args.seed).build()
     account = cloud.create_account("cli", "aws")
     workload = workload_by_name(args.workload)
     deployment = cloud.deploy(
@@ -540,7 +557,7 @@ def cmd_profile(args, out):
 def cmd_advise(args, out):
     from repro.core import CharacterizationStore
     from repro.core.memory_advisor import MemoryAdvisor
-    cloud = build_sky(seed=args.seed, aws_only=True)
+    cloud = CloudSpec.for_zones([args.zone], seed=args.seed).build()
     account = cloud.create_account("cli", "aws")
     mesh = SkyMesh(cloud)
     endpoints = mesh.deploy_sampling_endpoints(account, args.zone,
@@ -566,30 +583,25 @@ def cmd_advise(args, out):
     return 0
 
 
-def _write_study_block(out, workload_name, args, result):
-    out.write("{} over {} days, burst {} (baseline {})\n".format(
-        workload_name, args.days, args.burst, args.baseline_zone))
+def _write_savings(out, result):
+    """One line per policy: its savings against the baseline."""
     for name, summary in sorted(result.savings_summary().items()):
         out.write("  {:<22} cumulative {:6.1f}%  best day {:6.1f}%\n"
                   .format(name, summary["cumulative_pct"],
                           summary["max_daily_pct"]))
+
+
+def _write_study_block(out, workload_name, args, result):
+    out.write("{} over {} days, burst {} (baseline {})\n".format(
+        workload_name, args.days, args.burst, args.baseline_zone))
+    _write_savings(out, result)
     out.write("sampling spend: {}\n".format(result.sampling_cost))
 
 
 def cmd_study(args, out):
     zones = _zone_list(args.zones)
-    workloads = [w.strip() for w in args.workload.split(",") if w.strip()]
-    for name in workloads:
-        workload_by_name(name)  # fail fast on unknown workloads
-    from repro.engine import CloudSpec, Grid, StudyTask, SweepEngine
-    if len(workloads) == 1:
-        # One study runs on the root seed itself.
-        seeds = [args.seed]
-    else:
-        # One independent study per workload, each on a spawn-keyed seed.
-        grid = Grid([("workload", workloads)], root_seed=args.seed,
-                    namespace="study")
-        seeds = [cell.seed for cell in grid.cells()]
+    workloads = _workload_list(args.workload)
+    seeds, _ = _run_seeds(args, "workload", workloads, "study")
     tasks = [StudyTask(
         CloudSpec.for_zones(zones, seed=seed), workload_name, zones,
         baseline_zone=args.baseline_zone, days=args.days,
@@ -613,7 +625,7 @@ def cmd_study(args, out):
 def _obs_controller(args):
     """Build the routed-burst fixture the obs modes share."""
     zones = _zone_list(args.zones)
-    cloud = build_sky(seed=args.seed, aws_only=True)
+    cloud = CloudSpec.for_zones(zones, seed=args.seed).build()
     account = cloud.create_account("cli", "aws")
     observability = Observability()
     controller = SkyController(
@@ -771,13 +783,7 @@ def cmd_serve(args, out):
         return 2
     (provider_name,) = providers
     workload = workload_by_name(args.workload)
-    if provider_name == "aws":
-        cloud = build_sky(seed=args.seed, aws_only=True)
-    else:
-        # Non-AWS (including scenario packs): build just the zones'
-        # regions; pack regions never join the default sky.
-        from repro.engine import CloudSpec
-        cloud = CloudSpec.for_zones(zones, seed=args.seed).build()
+    cloud = CloudSpec.for_zones(zones, seed=args.seed).build()
     observability = Observability()
     account = cloud.create_account("serve", provider_name)
     controller = SkyController(
@@ -932,7 +938,7 @@ def _sweep_engine(args):
     it — progress printing, telemetry merging, the live endpoint, or
     the flight recorder.
     """
-    from repro.engine import SweepEngine, SweepProgress
+    from repro.engine import SweepProgress
     obs = None
     if (args.progress or args.telemetry or args.record
             or args.serve_port is not None):
@@ -1023,171 +1029,164 @@ def cmd_sweep(args, out):
 
 
 def _dispatch_sweep(args, out, engine):
-    """Dispatch one sweep kind; returns ``(grid, json_cells)``."""
-    from repro.engine import (
-        CampaignTask,
-        CloudSpec,
-        Grid,
-        ProgressiveTask,
-        StudyTask,
-        TemporalTask,
-    )
-    zones = _zone_list(args.zones)
+    """Run the :data:`SWEEP_KINDS` row ``args.kind`` names over its axis
+    x ``--seeds`` grid; returns ``(grid, json_cells)``."""
+    kind = SWEEP_KINDS[args.kind]
+    values = kind.values(args)
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    max_polls = args.polls if args.polls else None
-
-    if args.kind in ("campaign", "progressive"):
-        task_type = (CampaignTask if args.kind == "campaign"
-                     else ProgressiveTask)
-        grid = Grid([("zone", zones), ("seed", seeds)],
-                    root_seed=args.seed, namespace="sweep-" + args.kind)
-        tasks = []
-        for cell in grid.cells():
-            key = dict(cell.key)
-            tasks.append(task_type(
-                CloudSpec.for_zones([key["zone"]], seed=cell.seed),
-                key["zone"], endpoints=args.endpoints,
-                n_requests=args.requests, max_polls=max_polls))
-        results = engine.run(tasks, grid_hash=grid.content_hash())
-        out.write("{} sweep: {} cells ({} zones x {} seeds)\n".format(
-            args.kind, len(grid), len(zones), len(seeds)))
-        json_cells = []
-        if args.kind == "campaign":
-            out.write("{:<16} {:>6} {:>6} {:>6} {:>9} {:>10} {:>12}  "
-                      "{}\n".format("zone", "seed", "polls", "FIs",
-                                    "requests", "saturated", "cost ($)",
-                                    "dominant cpu"))
-            for cell, result in zip(grid.cells(), results):
-                key = dict(cell.key)
-                out.write("{:<16} {:>6} {:>6} {:>6} {:>9} {:>10} "
-                          "{:>12.6f}  {}\n".format(
-                              key["zone"], key["seed"], result.polls_run,
-                              result.total_fis, result.total_requests,
-                              "yes" if result.saturated else "no",
-                              float(result.total_cost),
-                              result.ground_truth().dominant_cpu()))
-                cell_dict = {"zone": key["zone"], "seed": key["seed"],
-                             "cell_seed": cell.seed}
-                cell_dict.update(reporting.campaign_to_dict(result))
-                json_cells.append(cell_dict)
-        else:
-            budgets = [int(b) for b in args.budgets.split(",")
-                       if b.strip()]
-            header = "{:<16} {:>6} {:>6}".format("zone", "seed", "polls")
-            header += "".join(" {:>9}".format("ape@{}".format(b))
-                              for b in budgets)
-            out.write(header + " {:>9}\n".format("to-95%"))
-            for cell, analysis in zip(grid.cells(), results):
-                key = dict(cell.key)
-                campaign = analysis.campaign
-                row = "{:<16} {:>6} {:>6}".format(key["zone"], key["seed"],
-                                                  campaign.polls_run)
-                for budget in budgets:
-                    try:
-                        ape = analysis.ape_after(
-                            min(budget, campaign.polls_run))
-                        row += " {:>9.3f}".format(ape)
-                    except CharacterizationError:
-                        row += " {:>9}".format("-")
-                polls_to = analysis.polls_to_accuracy(95.0)
-                row += " {:>9}\n".format(polls_to if polls_to is not None
-                                         else "-")
-                out.write(row)
-                json_cells.append({
-                    "zone": key["zone"], "seed": key["seed"],
-                    "cell_seed": cell.seed,
-                    "ape_curve": [[polls, fis, round(ape, 6)]
-                                  for polls, fis, ape
-                                  in analysis.ape_curve()],
-                    "polls_to_95": polls_to,
-                    "campaign": reporting.campaign_to_dict(campaign),
-                })
-    elif args.kind == "temporal":
-        grid = Grid([("zone", zones), ("seed", seeds)],
-                    root_seed=args.seed, namespace="sweep-temporal")
-        tasks = []
-        for cell in grid.cells():
-            key = dict(cell.key)
-            tasks.append(TemporalTask(
-                CloudSpec.for_zones([key["zone"]], seed=cell.seed),
-                key["zone"], mode=args.temporal_mode,
-                periods=args.periods,
-                polls_per_period=max(args.polls, 1),
-                endpoints=args.endpoints, n_requests=args.requests))
-        results = engine.run(tasks, grid_hash=grid.content_hash())
-        out.write("temporal sweep ({}): {} cells ({} zones x {} seeds), "
-                  "{} periods\n".format(args.temporal_mode, len(grid),
-                                        len(zones), len(seeds),
-                                        args.periods))
-        json_cells = []
-        for cell, series in zip(grid.cells(), results):
-            key = dict(cell.key)
-            out.write("[{} seed={}]\n".format(key["zone"], key["seed"]))
-            if args.temporal_mode == "daily":
-                out.write("  {:>4} {:>6} {:>6} {:>10} {:>12}  {}\n"
-                          .format("day", "polls", "FIs", "saturated",
-                                  "cost ($)", "dominant cpu"))
-                for day, result in enumerate(series, start=1):
-                    out.write("  {:>4} {:>6} {:>6} {:>10} {:>12.6f}  "
-                              "{}\n".format(
-                                  day, result.polls_run,
-                                  result.total_fis,
-                                  "yes" if result.saturated else "no",
-                                  float(result.total_cost),
-                                  result.ground_truth().dominant_cpu()))
-                payload = [reporting.campaign_to_dict(r) for r in series]
-            else:
-                out.write("  {:>4} {:>8} {:>6}  {}\n".format(
-                    "hour", "samples", "polls", "dominant cpu"))
-                for hour, profile in enumerate(series):
-                    out.write("  {:>4} {:>8} {:>6}  {}\n".format(
-                        hour, profile.samples, profile.polls,
-                        profile.dominant_cpu()))
-                payload = [reporting.characterization_to_dict(p)
-                           for p in series]
-            json_cells.append({"zone": key["zone"], "seed": key["seed"],
-                               "cell_seed": cell.seed,
-                               "mode": args.temporal_mode,
-                               "series": payload})
-    else:  # study
-        workloads = [w.strip() for w in args.workloads.split(",")
-                     if w.strip()]
-        for name in workloads:
-            workload_by_name(name)  # fail fast on unknown workloads
-        baseline_zone = args.baseline_zone or zones[0]
-        grid = Grid([("workload", workloads), ("seed", seeds)],
-                    root_seed=args.seed, namespace="sweep-study")
-        tasks = [StudyTask(
-            CloudSpec.for_zones(zones, seed=cell.seed),
-            dict(cell.key)["workload"], zones,
-            baseline_zone=baseline_zone, days=args.days,
-            burst_size=args.burst)
-            for cell in grid.cells()]
-        results = engine.run(tasks, grid_hash=grid.content_hash())
-        out.write("study sweep: {} cells ({} workloads x {} seeds), "
-                  "{} days, burst {}\n".format(
-                      len(grid), len(workloads), len(seeds), args.days,
-                      args.burst))
-        json_cells = []
-        for cell, result in zip(grid.cells(), results):
-            key = dict(cell.key)
-            out.write("[{} seed={}]\n".format(key["workload"],
-                                              key["seed"]))
-            for name, summary in sorted(result.savings_summary().items()):
-                out.write("  {:<22} cumulative {:6.1f}%  best day "
-                          "{:6.1f}%\n".format(name,
-                                              summary["cumulative_pct"],
-                                              summary["max_daily_pct"]))
-            out.write("  sampling spend: {}\n".format(
-                result.sampling_cost))
-            cell_dict = {"workload": key["workload"], "seed": key["seed"],
-                         "cell_seed": cell.seed}
-            cell_dict.update(reporting.study_result_to_dict(result))
-            json_cells.append(cell_dict)
-
+    grid = Grid([(kind.axis, values), ("seed", seeds)],
+                root_seed=args.seed, namespace="sweep-" + args.kind)
+    cells = list(grid.cells())
+    tasks = [kind.task(args, dict(cell.key)[kind.axis], cell.seed)
+             for cell in cells]
+    results = engine.run(tasks, grid_hash=grid.content_hash())
+    out.write(kind.header(args, "{} cells ({} {}s x {} seeds)".format(
+        len(grid), len(values), kind.axis, len(seeds))))
+    json_cells = []
+    for cell, result in zip(cells, results):
+        key = dict(cell.key)
+        kind.write_cell(out, args, key, result)
+        json_cells.append(dict(key, cell_seed=cell.seed,
+                               **kind.payload(args, result)))
     _write_artifacts(args, out, {"kind": args.kind, "root_seed": args.seed,
                                  "cells": json_cells})
     return grid, json_cells
+
+
+def _zone_campaign(task_type):
+    """The task factory for a one-zone campaign cell of ``task_type``."""
+    def task(args, zone_id, seed):
+        return task_type(CloudSpec.for_zones([zone_id], seed=seed), zone_id,
+                         endpoints=args.endpoints, n_requests=args.requests,
+                         max_polls=args.polls or None)
+    return task
+
+
+def _write_campaign_cell(out, args, key, result):
+    out.write("{:<16} {:>6} {:>6} {:>6} {:>9} {:>10} {:>12.6f}  {}\n".format(
+        key["zone"], key["seed"], result.polls_run, result.total_fis,
+        result.total_requests, "yes" if result.saturated else "no",
+        float(result.total_cost), result.ground_truth().dominant_cpu()))
+
+
+def _budgets(args):
+    return [int(b) for b in args.budgets.split(",") if b.strip()]
+
+
+def _progressive_header(args, shape):
+    header = "{:<16} {:>6} {:>6}".format("zone", "seed", "polls")
+    header += "".join(" {:>9}".format("ape@{}".format(b))
+                      for b in _budgets(args))
+    return "progressive sweep: {}\n{} {:>9}\n".format(shape, header,
+                                                     "to-95%")
+
+
+def _write_progressive_cell(out, args, key, analysis):
+    campaign = analysis.campaign
+    row = "{:<16} {:>6} {:>6}".format(key["zone"], key["seed"],
+                                      campaign.polls_run)
+    for budget in _budgets(args):
+        try:
+            ape = analysis.ape_after(min(budget, campaign.polls_run))
+            row += " {:>9.3f}".format(ape)
+        except CharacterizationError:
+            row += " {:>9}".format("-")
+    polls_to = analysis.polls_to_accuracy(95.0)
+    out.write(row + " {:>9}\n".format(polls_to if polls_to is not None
+                                      else "-"))
+
+
+def _progressive_payload(args, analysis):
+    return {"ape_curve": [[polls, fis, round(ape, 6)]
+                          for polls, fis, ape in analysis.ape_curve()],
+            "polls_to_95": analysis.polls_to_accuracy(95.0),
+            "campaign": reporting.campaign_to_dict(analysis.campaign)}
+
+
+def _temporal_task(args, zone_id, seed):
+    return TemporalTask(CloudSpec.for_zones([zone_id], seed=seed), zone_id,
+                        mode=args.temporal_mode, periods=args.periods,
+                        polls_per_period=args.polls,
+                        endpoints=args.endpoints, n_requests=args.requests)
+
+
+def _write_temporal_cell(out, args, key, series):
+    out.write("[{} seed={}]\n".format(key["zone"], key["seed"]))
+    if args.temporal_mode == "daily":
+        out.write("  {:>4} {:>6} {:>6} {:>10} {:>12}  {}\n".format(
+            "day", "polls", "FIs", "saturated", "cost ($)", "dominant cpu"))
+        for day, result in enumerate(series, start=1):
+            out.write("  {:>4} {:>6} {:>6} {:>10} {:>12.6f}  {}\n".format(
+                day, result.polls_run, result.total_fis,
+                "yes" if result.saturated else "no",
+                float(result.total_cost),
+                result.ground_truth().dominant_cpu()))
+    else:
+        out.write("  {:>4} {:>8} {:>6}  {}\n".format(
+            "hour", "samples", "polls", "dominant cpu"))
+        for hour, profile in enumerate(series):
+            out.write("  {:>4} {:>8} {:>6}  {}\n".format(
+                hour, profile.samples, profile.polls,
+                profile.dominant_cpu()))
+
+
+def _temporal_payload(args, series):
+    to_dict = (reporting.campaign_to_dict if args.temporal_mode == "daily"
+               else reporting.characterization_to_dict)
+    return {"mode": args.temporal_mode,
+            "series": [to_dict(period) for period in series]}
+
+
+def _study_task(args, workload_name, seed):
+    zones = _zone_list(args.zones)
+    return StudyTask(CloudSpec.for_zones(zones, seed=seed), workload_name,
+                     zones, baseline_zone=args.baseline_zone,
+                     days=args.days, burst_size=args.burst)
+
+
+def _write_study_cell(out, args, key, result):
+    out.write("[{} seed={}]\n".format(key["workload"], key["seed"]))
+    _write_savings(out, result)
+    out.write("  sampling spend: {}\n".format(result.sampling_cost))
+
+
+#: One ``repro sweep`` kind: the grid axis it varies next to ``--seeds``
+#: (``values(args)`` lists its values), ``task(args, axis_value,
+#: cell_seed)`` builds a cell's task, ``header(args, shape)`` is the text
+#: above the cells (``shape`` reads "N cells (Z zones x S seeds)"),
+#: ``write_cell(out, args, key, result)`` writes one cell's text and
+#: ``payload(args, result)`` its JSON fields after ``{axis, "seed",
+#: "cell_seed"}``.
+SweepKind = namedtuple("SweepKind",
+                       "axis values task header write_cell payload")
+
+SWEEP_KINDS = {
+    "campaign": SweepKind(
+        "zone", lambda args: _zone_list(args.zones),
+        _zone_campaign(CampaignTask),
+        lambda args, shape: "campaign sweep: {}\n{}".format(
+            shape, "{:<16} {:>6} {:>6} {:>6} {:>9} {:>10} {:>12}  {}\n"
+            .format("zone", "seed", "polls", "FIs", "requests", "saturated",
+                    "cost ($)", "dominant cpu")),
+        _write_campaign_cell,
+        lambda args, result: reporting.campaign_to_dict(result)),
+    "progressive": SweepKind(
+        "zone", lambda args: _zone_list(args.zones),
+        _zone_campaign(ProgressiveTask), _progressive_header,
+        _write_progressive_cell, _progressive_payload),
+    "study": SweepKind(
+        "workload", lambda args: _workload_list(args.workloads),
+        _study_task,
+        lambda args, shape: "study sweep: {}, {} days, burst {}\n".format(
+            shape, args.days, args.burst),
+        _write_study_cell,
+        lambda args, result: reporting.study_result_to_dict(result)),
+    "temporal": SweepKind(
+        "zone", lambda args: _zone_list(args.zones), _temporal_task,
+        lambda args, shape: "temporal sweep ({}): {}, {} periods\n".format(
+            args.temporal_mode, shape, args.periods),
+        _write_temporal_cell, _temporal_payload),
+}
 
 
 _COMMANDS = {

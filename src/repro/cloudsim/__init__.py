@@ -38,7 +38,6 @@ from repro.cloudsim.cloud import (
     Invocation,
 )
 from repro.cloudsim.catalog import (
-    build_global_catalog,
     catalog_region_names,
     zone_spec,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "Invocation",
     "BatchInvocation",
     "BatchPollResult",
-    "build_global_catalog",
     "catalog_region_names",
     "zone_spec",
 ]

@@ -28,7 +28,6 @@ from functools import partial
 from repro.common.errors import ConfigurationError, UnknownZoneError
 from repro.cloudsim.adapters import PreemptionProcess
 from repro.cloudsim.az import AvailabilityZone
-from repro.cloudsim.cloud import Cloud
 from repro.cloudsim.drift import DriftProfile, DriftProcess
 from repro.cloudsim.host import HostPool
 from repro.cloudsim.network import GeoPoint
@@ -296,18 +295,6 @@ def build_zone(zone_id, spec, provider, clock, seed, now):
         zone.attach_preemption(PreemptionProcess(
             zone_id, interval_s, fraction, seed=seed), now=now)
     return zone
-
-
-def build_global_catalog(seed=0, clock=None, aws_only=False):
-    """Construct a :class:`Cloud` holding all 41 catalog regions.
-
-    ``aws_only=True`` restricts the sky to AWS Lambda, which is what the
-    paper does for EX-3 through EX-5 after finding no heterogeneity on the
-    other providers.  Zones build on first use (see :func:`install_catalog`).
-    """
-    cloud = Cloud(clock=clock, seed=seed)
-    install_catalog(cloud, aws_only=aws_only)
-    return cloud
 
 
 def install_catalog(cloud, aws_only=False, regions=None):

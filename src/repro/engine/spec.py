@@ -126,3 +126,9 @@ class CloudSpec(object):
         return "CloudSpec(seed={}, aws_only={}, regions={})".format(
             self.seed, self.aws_only,
             list(self.regions) if self.regions is not None else "all")
+
+
+def build_sky(seed=0, aws_only=False):
+    """The whole catalog: 41 core regions, or the 33 AWS ones.  A run on
+    a few zones builds ``CloudSpec.for_zones(zone_ids, seed)`` instead."""
+    return CloudSpec(seed=seed, aws_only=aws_only).build()

@@ -182,6 +182,10 @@ class TemporalTask(SweepTask):
             raise ConfigurationError(
                 "unknown temporal mode {!r}; pick one of {}".format(
                     mode, self.MODES))
+        if int(polls_per_period) < 1:
+            raise ConfigurationError(
+                "temporal task needs polls_per_period >= 1, got {}".format(
+                    polls_per_period))
         self.zone_id = zone_id
         self.mode = mode
         self.periods = int(periods)
@@ -259,6 +263,10 @@ class StudyTask(SweepTask):
         self.workload_name = workload_name
         self.zones = tuple(zones)
         self.baseline_zone = baseline_zone or self.zones[0]
+        if self.baseline_zone not in self.zones:
+            raise ConfigurationError(
+                "baseline zone {!r} is not a candidate zone ({})".format(
+                    self.baseline_zone, ", ".join(self.zones)))
         self.days = int(days)
         self.burst_size = int(burst_size)
         self.polls_per_day = int(polls_per_day)

@@ -13,13 +13,13 @@ module pulls in :mod:`repro.core` and so lives outside
 ``repro.faults.__init__`` (see the note there).
 """
 
-from repro.cloudsim.catalog import build_global_catalog
 from repro.common.errors import ConfigurationError, InvocationError
 from repro.core.health import ZoneHealthTracker
 from repro.core.policies import RegionalPolicy
 from repro.core.resilience import HedgePolicy, ResilienceConfig
 from repro.core.router import SmartRouter
 from repro.dynfunc.handler import UniversalDynamicFunctionHandler
+from repro.engine.spec import CloudSpec
 from repro.faults.injector import FaultInjector
 from repro.faults.schedule import build_preset
 from repro.obs import Observability
@@ -121,7 +121,7 @@ class ChaosExperiment(object):
 
     # -- rig construction -----------------------------------------------------
     def _build_rig(self, schedule=None, resilient=False):
-        cloud = build_global_catalog(seed=self.seed, aws_only=True)
+        cloud = CloudSpec.for_zones(self.zones, seed=self.seed).build()
         obs = Observability()
         obs.install(cloud)
         injector = None

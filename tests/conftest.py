@@ -33,5 +33,5 @@ def catalog_cloud_readonly():
     Tests that mutate zone state (polls, invocations) must build their own
     cloud instead.
     """
-    from repro.cloudsim import build_global_catalog
-    return build_global_catalog(seed=1234)
+    from repro import build_sky
+    return build_sky(seed=1234)

@@ -132,6 +132,14 @@ class TestStudy(object):
         # header + 4 policies x 2 days
         assert len(lines) == 1 + 4 * 2
 
+    def test_baseline_outside_candidates_rejected(self):
+        # The default --baseline-zone us-west-1b is not among these
+        # candidates: the study fails before any cell runs, naming both.
+        with pytest.raises(ConfigurationError,
+                           match="'us-west-1b'.*us-east-1a, eu-west-1a"):
+            run_cli("--seed", "5", "study", "sha1_hash", "--zones",
+                    "us-east-1a,eu-west-1a", "--days", "1")
+
 
 class TestObs(object):
     def test_prints_metrics_events_and_trace(self):
@@ -285,6 +293,15 @@ class TestTemporalSweep(object):
         cell = payload["cells"][0]
         assert cell["mode"] == "daily"
         assert len(cell["series"]) == 2
+
+    def test_zero_polls_rejected(self):
+        # 0 means "until saturation" for a campaign cell; a temporal
+        # series polls a fixed number of times per period, so it refuses
+        # 0 instead of running 1.
+        args = list(self._args("daily"))
+        args[args.index("--polls") + 1] = "0"
+        with pytest.raises(ConfigurationError, match="polls_per_period"):
+            run_cli(*args)
 
     def test_workers_do_not_change_temporal_output(self, tmp_path):
         serial_json = str(tmp_path / "serial.json")

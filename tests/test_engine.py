@@ -168,9 +168,22 @@ class TestTasks(object):
             TemporalTask(CloudSpec.for_zones(["us-west-1a"]), "us-west-1a",
                          mode="weekly")
 
+    @pytest.mark.parametrize("polls", [0, -1])
+    def test_temporal_polls_per_period_validation(self, polls):
+        with pytest.raises(ConfigurationError, match="polls_per_period"):
+            TemporalTask(CloudSpec.for_zones(["us-west-1a"]), "us-west-1a",
+                         polls_per_period=polls)
+
     def test_study_task_needs_zones(self):
         with pytest.raises(ConfigurationError):
             StudyTask(CloudSpec(seed=0), "sha1_hash", ())
+
+    def test_study_baseline_must_be_a_candidate(self):
+        zones = ["us-east-1a", "eu-west-1a"]
+        with pytest.raises(ConfigurationError,
+                           match="'us-west-1b'.*us-east-1a, eu-west-1a"):
+            StudyTask(CloudSpec.for_zones(zones), "sha1_hash", zones,
+                      baseline_zone="us-west-1b")
 
     def test_task_rejects_raw_seed(self):
         with pytest.raises(ConfigurationError):

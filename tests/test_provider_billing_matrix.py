@@ -6,8 +6,8 @@ of the other two providers so the multi-provider paths stay honest.
 
 import pytest
 
+from repro import build_sky
 from repro.common.units import Money
-from repro.cloudsim import build_global_catalog
 from repro.cloudsim.billing import (
     AWS_LAMBDA_BILLING,
     DIGITAL_OCEAN_BILLING,
@@ -46,7 +46,7 @@ class TestDoBilling(object):
 class TestNonAwsInvocations(object):
     @pytest.fixture
     def sky(self):
-        return build_global_catalog(seed=171)
+        return build_sky(seed=171)
 
     def test_ibm_invocation_end_to_end(self, sky):
         account = sky.create_account("ibm-acct", "ibm")
